@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build test race cover bench bench-json bench-diff profile experiments faults obs spill server chaos yannakakis batch fuzz fuzz-smoke fmt vet clean
+.PHONY: all check build test race cover bench bench-json bench-diff bench-smoke profile experiments faults obs spill server chaos yannakakis batch fuzz fuzz-smoke fmt vet clean
 
 all: check
 
@@ -37,6 +37,13 @@ bench-diff:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) ./... \
 		| $(GO) run ./cmd/benchjson -o /tmp/bench-new.json && \
 	$(GO) run ./cmd/benchjson -diff $$base /tmp/bench-new.json
+
+# Served end-to-end benchmark smoke: perfbench is a nested module that
+# the root ./... never builds, so this keeps an API change from breaking
+# the benchmark unnoticed. Its tests build the binary and drive every
+# workload briefly.
+bench-smoke:
+	cd perfbench && $(GO) test ./...
 
 # Continuous-profiling snapshot: bench the root package (go test only
 # accepts -cpuprofile/-memprofile for a single package) under CPU and
@@ -122,12 +129,12 @@ yannakakis:
 	if [ $$leaked -ne 0 ]; then echo "yannakakis: $$leaked run files leaked"; exit 1; fi
 
 # Batch-execution suite: the batch layer's unit tests (null bitmap,
-# adapter round-trip, trip delegation, stream mode), the registry-wide
-# row-ownership detector (poisoned producers + scribbling callers), and
-# the 200-instance metamorphic oracles in both row and batch modes with
-# the per-instance cross-mode bag comparison — under the race detector,
-# -count=2 for state reuse across re-Open, with the spill-leak check
-# (delegated batch operators spill through the row path).
+# adapter round-trip, trip outcomes, stale-left-batch regression, stream
+# mode), the registry-wide ownership detector (producers that scribble
+# over the rows and batches they handed out + scribbling callers), and
+# the 200-instance metamorphic oracles against the algebra reference —
+# under the race detector, -count=2 for state reuse across re-Open, with
+# the spill-leak check (the batch joins spill on a memory trip).
 batch:
 	@dir=$$(mktemp -d) && \
 	TMPDIR=$$dir $(GO) test -race -count=2 -run 'Batch|Ownership|Metamorphic' \

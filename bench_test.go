@@ -373,8 +373,8 @@ func BenchmarkJoinAlgorithms(b *testing.B) {
 
 	b.Run("hash", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			hj, err := exec.NewHashJoin(exec.NewScan(lt, nil), exec.NewScan(rt, nil),
-				[]relation.Attr{la}, []relation.Attr{ra}, nil, exec.InnerMode)
+			hj, err := exec.NewBatchHashJoin(exec.NewBatchScan(lt, nil, 0), exec.NewBatchScan(rt, nil, 0),
+				[]relation.Attr{la}, []relation.Attr{ra}, nil, exec.InnerMode, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -385,7 +385,7 @@ func BenchmarkJoinAlgorithms(b *testing.B) {
 	})
 	b.Run("index", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ij, err := exec.NewIndexJoin(exec.NewScan(lt, nil), rt, "a", la, nil, exec.InnerMode, nil)
+			ij, err := exec.NewBatchIndexJoin(exec.NewBatchScan(lt, nil, 0), rt, "a", la, nil, exec.InnerMode, nil, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -396,11 +396,11 @@ func BenchmarkJoinAlgorithms(b *testing.B) {
 	})
 	b.Run("merge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ls, err := exec.NewSort(exec.NewScan(lt, nil), []relation.Attr{la})
+			ls, err := exec.NewSort(exec.NewBatchScan(lt, nil, 0), []relation.Attr{la})
 			if err != nil {
 				b.Fatal(err)
 			}
-			rs, err := exec.NewSort(exec.NewScan(rt, nil), []relation.Attr{ra})
+			rs, err := exec.NewSort(exec.NewBatchScan(rt, nil, 0), []relation.Attr{ra})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -421,7 +421,7 @@ func BenchmarkJoinAlgorithms(b *testing.B) {
 		p := predicate.Eq(la, ra)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			nl, err := exec.NewNestedLoopJoin(exec.NewScan(st, nil), exec.NewScan(srt, nil), p, exec.InnerMode)
+			nl, err := exec.NewBatchNestedLoopJoin(exec.NewBatchScan(st, nil, 0), exec.NewBatchScan(srt, nil, 0), p, exec.InnerMode, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -430,42 +430,6 @@ func BenchmarkJoinAlgorithms(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkParallelJoin: the partitioned parallel hash join vs the serial
-// one on the same inner equijoin (concurrency ablation).
-func BenchmarkParallelJoin(b *testing.B) {
-	const n = 100000
-	rnd := rand.New(rand.NewSource(13))
-	lt := storage.NewTable("L", workload.UniformRelation(rnd, "L", n, int64(n)))
-	rt := storage.NewTable("R", workload.UniformRelation(rnd, "R", n, int64(n)))
-	la, ra := relation.A("L", "a"), relation.A("R", "a")
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			hj, err := exec.NewHashJoin(exec.NewScan(lt, nil), exec.NewScan(rt, nil),
-				[]relation.Attr{la}, []relation.Attr{ra}, nil, exec.InnerMode)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := exec.Collect(hj, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, workers := range []int{2, 4} {
-		b.Run(fmt.Sprintf("parallel-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pj, err := exec.NewParallelHashJoin(exec.NewScan(lt, nil), exec.NewScan(rt, nil),
-					la, ra, exec.InnerMode, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := exec.Collect(pj, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkTupleRepresentation (DESIGN.md ablation 1): positional rows
@@ -690,7 +654,7 @@ func BenchmarkExternalSort(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			dir := b.TempDir()
 			for i := 0; i < b.N; i++ {
-				s, err := exec.NewSort(exec.NewScan(rt, nil), by)
+				s, err := exec.NewSort(exec.NewBatchScan(rt, nil, 0), by)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -731,7 +695,7 @@ func BenchmarkGraceHashJoin(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			dir := b.TempDir()
 			for i := 0; i < b.N; i++ {
-				h, err := exec.NewHashJoin(exec.NewScan(lt, nil), exec.NewScan(rt, nil), lk, rk, nil, exec.InnerMode)
+				h, err := exec.NewBatchHashJoin(exec.NewBatchScan(lt, nil, 0), exec.NewBatchScan(rt, nil, 0), lk, rk, nil, exec.InnerMode, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -17,10 +17,7 @@ import (
 	"syscall"
 	"time"
 
-	"strconv"
-
 	"freejoin/internal/chaos"
-	"freejoin/internal/optimizer"
 	"freejoin/internal/parse"
 	"freejoin/internal/server"
 )
@@ -40,7 +37,6 @@ func main() {
 		spill       = flag.Bool("spill", false, "default spill-to-disk mode for new sessions")
 		spillDir    = flag.String("spill-dir", "", "spill run-file directory (empty = OS temp dir)")
 		strategy    = flag.String("strategy", "", "default planner strategy: dp, yannakakis or auto (empty = dp)")
-		batchSize   = flag.String("batch-size", "", "rows per execution batch: N, off, or default (empty = default)")
 		restore     = flag.String("restore", "", "catalog snapshot (.fjdb) to restore at startup")
 
 		idleTimeout  = flag.Duration("idle-timeout", 0, "disconnect idle sessions (0 = default 5m, negative = off)")
@@ -84,18 +80,6 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "ojserver: unknown -strategy %q (want dp, yannakakis or auto)\n", cfg.Strategy)
 		os.Exit(2)
-	}
-	switch *batchSize {
-	case "", "default", "on":
-	case "off":
-		cfg.BatchSize = optimizer.BatchOff
-	default:
-		n, err := strconv.Atoi(*batchSize)
-		if err != nil || n <= 0 {
-			fmt.Fprintf(os.Stderr, "ojserver: bad -batch-size %q (want N, off or default)\n", *batchSize)
-			os.Exit(2)
-		}
-		cfg.BatchSize = n
 	}
 	if *slowLogMax != "" {
 		n, err := parse.Bytes(*slowLogMax)

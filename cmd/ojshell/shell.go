@@ -38,13 +38,6 @@ type Shell struct {
 	spill    bool
 	spillDir string
 
-	// batchSize selects the vectorized execution mode: 0 runs batched
-	// with exec.DefaultBatchSize, optimizer.BatchOff forces the
-	// row-at-a-time evaluators, and a positive value sets the rows per
-	// batch. It feeds optimizer.Optimizer.BatchSize and so is part of
-	// the plan-cache fingerprint.
-	batchSize int
-
 	// strategy selects how freely-reorderable queries are planned:
 	// "" / "dp" (the classic DP), "yannakakis" (the acyclic semijoin-
 	// reducer fast path, DP fallback on cyclic graphs), or "auto"
@@ -213,7 +206,6 @@ func (s *Shell) help() {
   set spill on|off                            spill to disk on memory budget trips
   set spill_dir DIR|off                       directory for spill run files
   set strategy dp|yannakakis|auto             planner for reorderable queries
-  set batch_size N|off|default                rows per execution batch (off = row-at-a-time)
   set metrics_addr ADDR|off                   HTTP /metrics, /debug/queries, /healthz
   set pprof on|off                            mount /debug/pprof on the next metrics_addr
   set slow_query DUR|off                      log queries slower than DUR
@@ -377,13 +369,12 @@ func (s *Shell) cmdSet(rest string) error {
 		if strategy == "" {
 			strategy = "dp"
 		}
-		fmt.Fprintf(s.out, "timeout: %s\nmemory_limit: %s\nspill: %s\nspill_dir: %s\nstrategy: %s\nbatch_size: %s\nmetrics_addr: %s\nslow_query: %s\nplan_cache: %s\n",
+		fmt.Fprintf(s.out, "timeout: %s\nmemory_limit: %s\nspill: %s\nspill_dir: %s\nstrategy: %s\nmetrics_addr: %s\nslow_query: %s\nplan_cache: %s\n",
 			orOff(s.timeout.String(), s.timeout == 0),
 			orOff(fmt.Sprintf("%d bytes", s.memLimit), s.memLimit == 0),
 			orOff("on", !s.spill),
 			orOff(s.spillDir, s.spillDir == ""),
 			strategy,
-			batchSizeString(s.batchSize),
 			orOff(addr, s.mon == nil),
 			orOff(slow.String(), slow == 0),
 			cacheState)
@@ -453,21 +444,6 @@ func (s *Shell) cmdSet(rest string) error {
 		default:
 			return fmt.Errorf("usage: set strategy dp|yannakakis|auto")
 		}
-	case "batch_size":
-		switch {
-		case strings.EqualFold(val, "off"):
-			s.batchSize = optimizer.BatchOff
-		case strings.EqualFold(val, "default") || strings.EqualFold(val, "on"):
-			s.batchSize = 0
-		default:
-			n, err := strconv.Atoi(val)
-			if err != nil || n <= 0 {
-				return fmt.Errorf("usage: set batch_size N|off|default")
-			}
-			s.batchSize = n
-		}
-		fmt.Fprintf(s.out, "batch_size %s\n", batchSizeString(s.batchSize))
-		return nil
 	case "metrics_addr":
 		if s.mon != nil {
 			s.mon.Close()
@@ -563,7 +539,7 @@ func (s *Shell) cmdSet(rest string) error {
 		fmt.Fprintf(s.out, "slow_query_log %s (rotate at %d bytes)\n", path, maxBytes)
 		return nil
 	default:
-		return fmt.Errorf("usage: set timeout|memory_limit|spill|spill_dir|strategy|batch_size|metrics_addr|pprof|slow_query|slow_query_log|plan_cache VALUE|off")
+		return fmt.Errorf("usage: set timeout|memory_limit|spill|spill_dir|strategy|metrics_addr|pprof|slow_query|slow_query_log|plan_cache VALUE|off")
 	}
 }
 
@@ -572,20 +548,6 @@ func orOff(s string, off bool) string {
 		return "off"
 	}
 	return s
-}
-
-// batchSizeString renders the batch-size setting: "off" for the
-// row-at-a-time mode, the default size when unset, or the explicit
-// rows-per-batch count.
-func batchSizeString(n int) string {
-	switch {
-	case n == optimizer.BatchOff:
-		return "off"
-	case n == 0:
-		return fmt.Sprintf("%d (default)", exec.DefaultBatchSize)
-	default:
-		return strconv.Itoa(n)
-	}
 }
 
 // execContext builds the execution context for the session's limits; the
@@ -617,7 +579,6 @@ func (s *Shell) newOptimizer() *optimizer.Optimizer {
 	o.Cache = s.plans
 	o.Spill = s.spill
 	o.Strategy = s.strategy
-	o.BatchSize = s.batchSize
 	return o
 }
 

@@ -10,6 +10,46 @@ import (
 	"freejoin/internal/relation"
 )
 
+// JoinMode selects the join-family semantics of a physical join.
+type JoinMode uint8
+
+// Join modes. LeftOuterMode preserves the left (outer/probe) input.
+const (
+	InnerMode JoinMode = iota
+	LeftOuterMode
+	SemiMode
+	AntiMode
+)
+
+// String returns the mode name.
+func (m JoinMode) String() string {
+	switch m {
+	case InnerMode:
+		return "inner"
+	case LeftOuterMode:
+		return "leftouter"
+	case SemiMode:
+		return "semi"
+	case AntiMode:
+		return "anti"
+	default:
+		return fmt.Sprintf("JoinMode(%d)", uint8(m))
+	}
+}
+
+// outputScheme computes a join's output scheme for a mode: semi/anti
+// output only left rows.
+func outputScheme(l, r *relation.Scheme, mode JoinMode) (*relation.Scheme, error) {
+	if mode == SemiMode || mode == AntiMode {
+		return l, nil
+	}
+	sch, err := l.Concat(r)
+	if err != nil {
+		return nil, fmt.Errorf("exec: join schemes overlap: %w", err)
+	}
+	return sch, nil
+}
+
 // BatchHashJoin is the vectorized hash join: the right input is drained
 // a batch at a time into a flat value arena indexed by an open-addressed
 // hash table (no per-row map or key-string allocations), and the left
@@ -17,17 +57,16 @@ import (
 // a reused output batch. Governor accounting is amortized: one Reserve
 // per build batch instead of one per row.
 //
-// A memory-budget trip during the build delegates to the row HashJoin
-// over the same children: the arena is released, the right child is
-// closed, and the row join re-opens it and brings its full degradation
-// machinery — grace-hash spilling when the context allows it, the
-// optimizer's index fallback (SetFallback) otherwise, and the typed
-// resource error when neither applies.
+// A memory-budget trip during the build degrades instead of aborting.
+// When the context enables spilling, the join becomes a grace hash join
+// on the same arena (see openGrace): the rows already buffered and the
+// rest of the right input are hash-partitioned to disk, then the left
+// input, and each partition pair is joined in memory, re-partitioning
+// pairs that still exceed the budget. Otherwise, when the optimizer
+// registered an index alternative (SetFallback), that join serves the
+// query; failing both, the typed resource error surfaces.
 type BatchHashJoin struct {
 	left, right Iterator
-	lattrs      []relation.Attr
-	rattrs      []relation.Attr
-	residualP   predicate.Predicate
 	scheme      *relation.Scheme
 	lkeys       []int
 	rkeys       []int
@@ -52,10 +91,9 @@ type BatchHashJoin struct {
 	mask     uint32
 
 	// Probe state.
+	bsize int
 	bleft BatchIterator
-	lb    *Batch
-	lpos  int
-	ldone bool
+	lc    leftCursor
 	kbuf  []byte
 	crow  []relation.Value // scratch concat row for the residual
 
@@ -70,11 +108,14 @@ type BatchHashJoin struct {
 	out *Batch
 	cur batchCursor
 
-	delegate Iterator // row HashJoin after a build memory trip
+	grace    *graceJoin // non-nil after a grace-hash spill
+	spst     SpillStats
+	fallback BatchIterator // the index join after a spill-less build trip
 }
 
-// NewBatchHashJoin mirrors NewHashJoin with a configured batch size
-// (size <= 0 means DefaultBatchSize or the execution context override).
+// NewBatchHashJoin builds a hash join on leftKeys = rightKeys (attribute
+// lists of equal length); residual may be nil. size <= 0 means
+// DefaultBatchSize.
 func NewBatchHashJoin(left, right Iterator, leftKeys, rightKeys []relation.Attr, residual predicate.Predicate, mode JoinMode, size int) (*BatchHashJoin, error) {
 	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
 		return nil, fmt.Errorf("exec: hash join needs matching non-empty key lists")
@@ -85,7 +126,6 @@ func NewBatchHashJoin(left, right Iterator, leftKeys, rightKeys []relation.Attr,
 	}
 	h := &BatchHashJoin{
 		left: left, right: right,
-		lattrs: leftKeys, rattrs: rightKeys, residualP: residual,
 		scheme: sch, mode: mode, size: size,
 		rwidth:  right.Scheme().Len(),
 		pendIdx: -1,
@@ -118,13 +158,12 @@ func NewBatchHashJoin(left, right Iterator, leftKeys, rightKeys []relation.Attr,
 	return h, nil
 }
 
-// SetFallback registers the index degradation path, forwarded to the
-// row hash join if a build trip delegates to it.
+// SetFallback registers a degradation path for spill-less contexts:
+// when the build trips the memory budget, mk is invoked with the (not
+// yet opened) left input and the resulting iterator — an index join over
+// the same key — serves the join instead. It must produce the same bag
+// over the same output scheme.
 func (h *BatchHashJoin) SetFallback(mk func(left Iterator) (Iterator, error)) { h.mkFallback = mk }
-
-// DegradedTo returns the row hash join serving the query after a build
-// memory trip, or nil when the batch path ran.
-func (h *BatchHashJoin) DegradedTo() Iterator { return h.delegate }
 
 // Scheme implements Iterator.
 func (h *BatchHashJoin) Scheme() *relation.Scheme { return h.scheme }
@@ -133,44 +172,48 @@ func (h *BatchHashJoin) Scheme() *relation.Scheme { return h.scheme }
 // batch at a time.
 func (h *BatchHashJoin) Open(ec *ExecContext) error {
 	h.resetBuild(h.ec) // re-Open without Close: drop stale arena + charge
-	h.ec = ec
-	if h.delegate != nil {
-		// A prior execution delegated: the row join owns the children and
-		// any grace-hash spill state. Close it (idempotent if the plan was
-		// closed normally) before rebuilding over the same children, or a
-		// re-Open-without-Close would leak its runs.
-		h.delegate.Close()
-		h.delegate = nil
+	h.dropGrace(h.ec)  // ... and any stale spill state
+	if h.fallback != nil {
+		// A prior execution fell back: the index join owns the left child.
+		// Close it (idempotent if the plan was closed normally) before
+		// rebuilding over the same children.
+		h.fallback.Close()
+		h.fallback = nil
 	}
+	h.ec = ec
+	h.spst = SpillStats{}
 	h.cur.reset()
-	h.lb, h.lpos, h.ldone = nil, 0, false
+	h.lc.reset(nil)
 	h.pendRow, h.pendIdx, h.pendMatched = nil, -1, false
 	if err := ec.Err("hashjoin"); err != nil {
 		return err
 	}
-	size := resolveBatchSize(ec, h.size)
-	h.out = ensureBatch(h.out, h.scheme, size)
-	h.bleft = Batching(h.left, size)
-	bright := Batching(h.right, size)
+	h.bsize = batchSize(h.size)
+	h.out = ensureBatch(h.out, h.scheme, h.bsize)
+	h.bleft = Batching(h.left, h.bsize)
+	bright := Batching(h.right, h.bsize)
 	if err := h.right.Open(ec); err != nil {
 		h.right.Close()
-		return h.tripToRow(ec, err)
+		return h.fallBack(ec, err)
 	}
 	for {
 		b, ok, err := bright.NextBatch()
 		if err != nil {
 			h.right.Close()
 			h.resetBuild(ec)
-			return h.tripToRow(ec, err)
+			return h.fallBack(ec, err)
 		}
 		if !ok {
 			break
 		}
 		// Amortized accounting: one reservation per build batch.
 		if cerr := h.held.chargeN(ec, "hashjoin", int64(b.Len()), b.Bytes()); cerr != nil {
+			if spillable(ec, cerr) {
+				return h.openGrace(ec, bright, b)
+			}
 			h.right.Close()
 			h.resetBuild(ec)
-			return h.tripToRow(ec, cerr)
+			return h.fallBack(ec, cerr)
 		}
 		h.appendBuild(b)
 	}
@@ -183,31 +226,28 @@ func (h *BatchHashJoin) Open(ec *ExecContext) error {
 		h.resetBuild(ec)
 		return err
 	}
+	h.lc.reset(h.bleft.NextBatch)
 	return nil
 }
 
-// tripToRow delegates a MemoryExceeded build failure to the row
-// HashJoin over the same children (the right child has been closed and
-// will be re-opened by the delegate, which the iterator contract makes
-// a full reset). Non-memory errors propagate unchanged.
-func (h *BatchHashJoin) tripToRow(ec *ExecContext, err error) error {
+// fallBack is the spill-less degradation path: on a memory trip with a
+// registered index alternative, that join serves the query; any other
+// error surfaces as-is.
+func (h *BatchHashJoin) fallBack(ec *ExecContext, err error) error {
 	var re *ResourceError
-	if !errors.As(err, &re) || re.Kind != MemoryExceeded {
+	if h.mkFallback == nil || !errors.As(err, &re) || re.Kind != MemoryExceeded {
 		return err
 	}
-	d, derr := NewHashJoin(h.left, h.right, h.lattrs, h.rattrs, h.residualP, h.mode)
-	if derr != nil {
+	fb, ferr := h.mkFallback(h.left)
+	if ferr != nil {
 		return err // keep the original trip
 	}
-	if h.mkFallback != nil {
-		d.SetFallback(h.mkFallback)
-	}
-	ec.Governor().Note("hashjoin: batch build memory trip, delegating to row hash join")
-	obs.GovernorDegradations.Inc()
-	if oerr := d.Open(ec); oerr != nil {
+	if oerr := fb.Open(ec); oerr != nil {
 		return oerr
 	}
-	h.delegate = d
+	ec.Governor().Note("hashjoin: memory budget trip, degraded to index strategy")
+	obs.GovernorDegradations.Inc()
+	h.fallback = Batching(fb, h.bsize)
 	return nil
 }
 
@@ -225,18 +265,24 @@ func (h *BatchHashJoin) appendBuild(b *Batch) {
 		if null {
 			continue // null keys never match; only the left side drives emission
 		}
-		row := b.Row(i)
-		start := len(h.keyBytes)
-		kb := h.keyBytes
-		for _, k := range h.rkeys {
-			kb = relation.AppendJoinKey(kb, row[k])
-		}
-		h.keyBytes = kb
-		h.koff = append(h.koff, int32(start))
-		h.hashes = append(h.hashes, hashutil.Sum32(kb[start:]))
-		h.bvals = append(h.bvals, row...)
-		h.brows++
+		h.bvals = append(h.bvals, b.Row(i)...)
+		h.keyLast()
 	}
+}
+
+// keyLast indexes the arena's newest row (appended to bvals by the
+// caller): its join-key bytes and their hash.
+func (h *BatchHashJoin) keyLast() {
+	row := h.buildRow(int32(h.brows))
+	start := len(h.keyBytes)
+	kb := h.keyBytes
+	for _, k := range h.rkeys {
+		kb = relation.AppendJoinKey(kb, row[k])
+	}
+	h.keyBytes = kb
+	h.koff = append(h.koff, int32(start))
+	h.hashes = append(h.hashes, hashutil.Sum32(kb[start:]))
+	h.brows++
 }
 
 // buildIndex lays the open-addressed chains over the arena.
@@ -273,18 +319,19 @@ func (h *BatchHashJoin) buildRow(j int32) []relation.Value {
 	return h.bvals[s:e:e]
 }
 
-// keyEnd returns the end offset of build row j's key bytes.
-func (h *BatchHashJoin) keyEnd(j int32) int32 {
+// buildKey returns build row j's join-key bytes.
+func (h *BatchHashJoin) buildKey(j int32) []byte {
+	end := int32(len(h.keyBytes))
 	if int(j)+1 < len(h.koff) {
-		return h.koff[j+1]
+		end = h.koff[j+1]
 	}
-	return int32(len(h.keyBytes))
+	return h.keyBytes[h.koff[j]:end]
 }
 
 // keyEq reports whether build row j's key equals the current probe key
 // in kbuf.
 func (h *BatchHashJoin) keyEq(j int32) bool {
-	return string(h.keyBytes[h.koff[j]:h.keyEnd(j)]) == string(h.kbuf)
+	return string(h.buildKey(j)) == string(h.kbuf)
 }
 
 // matches applies the residual (if any) to lrow ++ build row j.
@@ -312,45 +359,25 @@ func (h *BatchHashJoin) chainHasMatch(lrow []relation.Value, hash uint32, idx in
 	return false
 }
 
-// NextBatch implements BatchIterator: the probe loop.
+// NextBatch implements BatchIterator: the probe loop, or the grace
+// partition walk after a spill.
 func (h *BatchHashJoin) NextBatch() (*Batch, bool, error) {
-	if h.delegate != nil {
-		return h.delegateBatch()
+	if h.fallback != nil {
+		return h.fallback.NextBatch()
 	}
 	if err := h.ec.Err("hashjoin"); err != nil {
 		return nil, false, err
 	}
 	out := h.out
 	out.Reset()
-	for {
-		// Resume a suspended match chain before advancing the probe.
-		if h.pendRow != nil {
-			h.drainChain(out)
-			if out.Full() {
-				return out, true, nil
-			}
-		}
-		if h.lb == nil || h.lpos >= h.lb.Len() {
-			if h.ldone {
-				break
-			}
-			b, ok, err := h.bleft.NextBatch()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				h.ldone = true
-				break
-			}
-			h.lb, h.lpos = b, 0
-		}
-		for h.lpos < h.lb.Len() && !out.Full() && h.pendRow == nil {
-			h.probeRow(out, h.lpos)
-			h.lpos++
-		}
-		if out.Full() {
-			return out, true, nil
-		}
+	var err error
+	if h.grace != nil {
+		err = h.graceBatch(out)
+	} else {
+		_, err = h.probe(out)
+	}
+	if err != nil {
+		return nil, false, err
 	}
 	if out.Len() == 0 {
 		return nil, false, nil
@@ -358,19 +385,49 @@ func (h *BatchHashJoin) NextBatch() (*Batch, bool, error) {
 	return out, true, nil
 }
 
-// probeRow probes left row i of the current batch, emitting into out.
-// Inner/outer rows with matches hand off to the pending chain walk.
-func (h *BatchHashJoin) probeRow(out *Batch, i int) {
+// probe fills out by probing the arena with the left cursor's rows. It
+// returns early only when out is full, and reports whether the probe
+// input is exhausted.
+func (h *BatchHashJoin) probe(out *Batch) (bool, error) {
+	for {
+		// Resume a suspended match chain before advancing the probe.
+		if h.pendRow != nil {
+			h.drainChain(out)
+			if out.Full() {
+				return false, nil
+			}
+		}
+		ok, err := h.lc.more()
+		if err != nil {
+			return false, err
+		}
+		if !ok {
+			return true, nil
+		}
+		lb := h.lc.b
+		for h.lc.pos < lb.Len() && !out.Full() && h.pendRow == nil {
+			h.probeRow(out, lb, h.lc.pos)
+			h.lc.pos++
+		}
+		if out.Full() {
+			return false, nil
+		}
+	}
+}
+
+// probeRow probes left row i of lb, emitting into out. Inner/outer rows
+// with matches hand off to the pending chain walk.
+func (h *BatchHashJoin) probeRow(out *Batch, lb *Batch, i int) {
 	// Null bitmap short-circuit: a null key column feeds straight into
 	// the 3VL outcome (no match) without evaluating the key equality.
 	null := false
 	for _, k := range h.lkeys {
-		if h.lb.IsNull(i, k) {
+		if lb.IsNull(i, k) {
 			null = true
 			break
 		}
 	}
-	lrow := h.lb.Row(i)
+	lrow := lb.Row(i)
 	if null {
 		switch h.mode {
 		case LeftOuterMode:
@@ -435,32 +492,8 @@ func (h *BatchHashJoin) drainChain(out *Batch) {
 	}
 }
 
-// delegateBatch serves the row delegate's stream re-batched.
-func (h *BatchHashJoin) delegateBatch() (*Batch, bool, error) {
-	out := h.out
-	out.Reset()
-	for !out.Full() {
-		row, ok, err := h.delegate.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			break
-		}
-		out.AppendRow(row)
-	}
-	if out.Len() == 0 {
-		return nil, false, nil
-	}
-	return out, true, nil
-}
-
-// Next implements Iterator through the batch cursor (or the delegate
-// directly, avoiding a pointless re-batching round trip).
+// Next implements Iterator through the batch cursor.
 func (h *BatchHashJoin) Next() ([]relation.Value, bool, error) {
-	if h.delegate != nil {
-		return h.delegate.Next()
-	}
 	return h.cur.next(h.NextBatch)
 }
 
@@ -475,403 +508,26 @@ func (h *BatchHashJoin) resetBuild(ec *ExecContext) {
 	h.held.release(ec)
 }
 
-// BufferedRows implements Buffered: the arena's row count (or the
-// delegate's buffer).
-func (h *BatchHashJoin) BufferedRows() int {
-	if h.delegate != nil {
-		if b, ok := h.delegate.(Buffered); ok {
-			return b.BufferedRows()
-		}
-		return 0
-	}
-	return h.brows
-}
+// BufferedRows implements Buffered: the arena's row count.
+func (h *BatchHashJoin) BufferedRows() int { return h.brows }
 
-// SpillInfo implements Spiller: only the row delegate can spill.
-func (h *BatchHashJoin) SpillInfo() SpillStats {
-	if h.delegate != nil {
-		if s, ok := h.delegate.(Spiller); ok {
-			return s.SpillInfo()
-		}
-	}
-	return SpillStats{}
-}
+// SpillInfo implements Spiller.
+func (h *BatchHashJoin) SpillInfo() SpillStats { return h.spst }
 
-// Close implements Iterator: the arena (and its charge) is released.
-// After a delegation the row join owns both children and closes them.
+// Close implements Iterator: the arena (and its charge) and every live
+// spill run are released. After a fallback the index join owns the left
+// child and closes it.
 func (h *BatchHashJoin) Close() error {
 	h.cur.reset()
 	h.out = releaseBatch(h.out)
-	h.lb, h.pendRow, h.pendIdx = nil, nil, -1
-	if h.delegate != nil {
-		return h.delegate.Close()
-	}
+	h.lc.reset(nil)
+	h.pendRow, h.pendIdx = nil, -1
 	h.resetBuild(h.ec)
+	h.dropGrace(h.ec)
 	h.bvals, h.keyBytes, h.koff, h.hashes = nil, nil, nil, nil
 	h.heads, h.chain = nil, nil
+	if h.fallback != nil {
+		return h.fallback.Close()
+	}
 	return h.left.Close()
-}
-
-// BatchSemiReduce is the vectorized equi-mode SemiReduce: the right
-// input's distinct join keys land in a key-bytes arena behind an
-// open-addressed set, and each left batch is compacted in place down to
-// the rows whose key is present — the semijoin never copies surviving
-// rows. Only pure equi predicates qualify (NewBatchSemiReduce rejects
-// anything else; the optimizer lowers those to the row operator).
-//
-// Governor accounting is amortized per batch over the newly retained
-// distinct keys. A memory trip delegates to the row SemiReduce over the
-// same children, which brings the spill-to-disk path.
-type BatchSemiReduce struct {
-	left, right Iterator
-	pred        predicate.Predicate
-	lkeys       []int
-	rkeys       []int
-	size        int
-
-	ec   *ExecContext
-	held hold
-
-	keyBytes []byte
-	koff     []int32
-	hashes   []uint32
-	nkeys    int
-	heads    []int32
-	chain    []int32
-	mask     uint32
-
-	bleft BatchIterator
-	kbuf  []byte
-	out   *Batch // delegate mode only: re-batching buffer
-	cur   batchCursor
-
-	rowsIn  int64
-	rowsOut int64
-
-	delegate *SemiReduce
-}
-
-// NewBatchSemiReduce builds the vectorized semijoin filter; p must be a
-// pure equi predicate over left/right.
-func NewBatchSemiReduce(left, right Iterator, p predicate.Predicate, size int) (*BatchSemiReduce, error) {
-	la, ra, ok := predicate.EquiParts(p, left.Scheme(), right.Scheme())
-	if !ok {
-		return nil, fmt.Errorf("exec: batch semireduce requires a pure equi predicate")
-	}
-	s := &BatchSemiReduce{left: left, right: right, pred: p, size: size}
-	for _, a := range la {
-		s.lkeys = append(s.lkeys, left.Scheme().IndexOf(a))
-	}
-	for _, a := range ra {
-		s.rkeys = append(s.rkeys, right.Scheme().IndexOf(a))
-	}
-	return s, nil
-}
-
-// Scheme implements Iterator: semijoins emit left rows unchanged.
-func (s *BatchSemiReduce) Scheme() *relation.Scheme { return s.left.Scheme() }
-
-// Equi reports the hash-filter fast path (always true for the batch
-// operator).
-func (s *BatchSemiReduce) Equi() bool { return true }
-
-// ReduceStats returns the rows that entered and survived the filter
-// since the last Open.
-func (s *BatchSemiReduce) ReduceStats() (in, out int64) {
-	if s.delegate != nil {
-		return s.delegate.ReduceStats()
-	}
-	return s.rowsIn, s.rowsOut
-}
-
-// DegradedTo returns the row SemiReduce serving the query after a
-// memory trip, or nil.
-func (s *BatchSemiReduce) DegradedTo() Iterator {
-	if s.delegate != nil {
-		return s.delegate
-	}
-	return nil
-}
-
-// Open implements Iterator: drains the right input into the key set.
-func (s *BatchSemiReduce) Open(ec *ExecContext) error {
-	s.resetKeys(s.ec) // re-Open without Close: drop stale set + charge
-	s.ec = ec
-	if s.delegate != nil {
-		// Close a prior execution's delegate (idempotent) so its state
-		// cannot leak across a re-Open without Close.
-		s.delegate.Close()
-		s.delegate = nil
-	}
-	s.cur.reset()
-	s.rowsIn, s.rowsOut = 0, 0
-	if err := ec.Err("semireduce"); err != nil {
-		return err
-	}
-	size := resolveBatchSize(ec, s.size)
-	s.bleft = Batching(s.left, size)
-	bright := Batching(s.right, size)
-	if err := s.right.Open(ec); err != nil {
-		s.right.Close()
-		return err
-	}
-	s.rehash(16)
-	for {
-		b, ok, err := bright.NextBatch()
-		if err != nil {
-			s.right.Close()
-			s.resetKeys(ec)
-			return err
-		}
-		if !ok {
-			break
-		}
-		newRows, newBytes := s.insertBatch(b)
-		// Charge only the retained (newly distinct) keys, once per batch.
-		if cerr := s.held.chargeN(ec, "semireduce", newRows, newBytes); cerr != nil {
-			s.right.Close()
-			s.resetKeys(ec)
-			return s.tripToRow(ec, cerr)
-		}
-	}
-	if err := s.right.Close(); err != nil {
-		s.resetKeys(ec)
-		return err
-	}
-	if err := s.left.Open(ec); err != nil {
-		s.resetKeys(ec)
-		return err
-	}
-	return nil
-}
-
-// tripToRow delegates a MemoryExceeded trip to the row SemiReduce over
-// the same children (its spill path handles the budget); other errors
-// propagate unchanged.
-func (s *BatchSemiReduce) tripToRow(ec *ExecContext, err error) error {
-	var re *ResourceError
-	if !errors.As(err, &re) || re.Kind != MemoryExceeded {
-		return err
-	}
-	d, derr := NewSemiReduce(s.left, s.right, s.pred)
-	if derr != nil {
-		return err // keep the original trip
-	}
-	ec.Governor().Note("semireduce: batch build memory trip, delegating to row semireduce")
-	obs.GovernorDegradations.Inc()
-	if oerr := d.Open(ec); oerr != nil {
-		return oerr
-	}
-	s.delegate = d
-	return nil
-}
-
-// rehash (re)builds the open-addressed index over the first nkeys keys
-// with at least n buckets.
-func (s *BatchSemiReduce) rehash(n int) {
-	for n < 16 || n < 2*s.nkeys {
-		n <<= 1
-	}
-	if cap(s.heads) >= n {
-		s.heads = s.heads[:n]
-	} else {
-		s.heads = make([]int32, n)
-	}
-	for i := range s.heads {
-		s.heads[i] = -1
-	}
-	s.mask = uint32(n - 1)
-	if cap(s.chain) >= s.nkeys {
-		s.chain = s.chain[:s.nkeys]
-	} else {
-		s.chain = append(s.chain[:cap(s.chain)], make([]int32, s.nkeys-cap(s.chain))...)
-	}
-	for i := 0; i < s.nkeys; i++ {
-		b := s.hashes[i] & s.mask
-		s.chain[i] = s.heads[b]
-		s.heads[b] = int32(i)
-	}
-}
-
-func (s *BatchSemiReduce) keyEnd(j int32) int32 {
-	if int(j)+1 < len(s.koff) {
-		return s.koff[j+1]
-	}
-	return int32(len(s.keyBytes))
-}
-
-// lookup reports whether the key in kb (with hash) is in the set.
-func (s *BatchSemiReduce) lookup(kb []byte, hash uint32) bool {
-	for j := s.heads[hash&s.mask]; j >= 0; j = s.chain[j] {
-		if s.hashes[j] == hash && string(s.keyBytes[s.koff[j]:s.keyEnd(j)]) == string(kb) {
-			return true
-		}
-	}
-	return false
-}
-
-// insertBatch adds a right batch's distinct non-null keys to the set,
-// returning the count and byte estimate of the retained source rows.
-func (s *BatchSemiReduce) insertBatch(b *Batch) (rows, bytes int64) {
-	n := b.Len()
-	for i := 0; i < n; i++ {
-		null := false
-		for _, k := range s.rkeys {
-			if b.IsNull(i, k) {
-				null = true
-				break
-			}
-		}
-		if null {
-			continue // null keys never match; the filter can skip them
-		}
-		row := b.Row(i)
-		kb := s.kbuf[:0]
-		for _, k := range s.rkeys {
-			kb = relation.AppendJoinKey(kb, row[k])
-		}
-		s.kbuf = kb
-		hash := hashutil.Sum32(kb)
-		if s.lookup(kb, hash) {
-			continue
-		}
-		start := len(s.keyBytes)
-		s.keyBytes = append(s.keyBytes, kb...)
-		s.koff = append(s.koff, int32(start))
-		s.hashes = append(s.hashes, hash)
-		j := int32(s.nkeys)
-		s.nkeys++
-		if 2*s.nkeys > len(s.heads) {
-			s.rehash(2 * len(s.heads))
-		} else {
-			bkt := hash & s.mask
-			s.chain = append(s.chain, s.heads[bkt])
-			s.heads[bkt] = j
-		}
-		rows++
-		bytes += rowBytes(row)
-	}
-	return rows, bytes
-}
-
-// NextBatch implements BatchIterator: left batches compacted in place.
-func (s *BatchSemiReduce) NextBatch() (*Batch, bool, error) {
-	if s.delegate != nil {
-		return s.delegateBatch()
-	}
-	if err := s.ec.Err("semireduce"); err != nil {
-		return nil, false, err
-	}
-	for {
-		b, ok, err := s.bleft.NextBatch()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		n := b.Len()
-		s.rowsIn += int64(n)
-		obs.SemiReduceInputRows.Add(int64(n))
-		keep := 0
-		for i := 0; i < n; i++ {
-			null := false
-			for _, k := range s.lkeys {
-				if b.IsNull(i, k) {
-					null = true
-					break
-				}
-			}
-			if null {
-				continue // a null key cannot match any right row
-			}
-			row := b.Row(i)
-			kb := s.kbuf[:0]
-			for _, k := range s.lkeys {
-				kb = relation.AppendJoinKey(kb, row[k])
-			}
-			s.kbuf = kb
-			if !s.lookup(kb, hashutil.Sum32(kb)) {
-				continue
-			}
-			b.MoveRow(keep, i)
-			keep++
-		}
-		if keep == 0 {
-			continue // fully reduced batch: pull the next one
-		}
-		b.Truncate(keep)
-		s.rowsOut += int64(keep)
-		obs.SemiReduceOutputRows.Add(int64(keep))
-		return b, true, nil
-	}
-}
-
-// delegateBatch serves the row delegate's stream re-batched.
-func (s *BatchSemiReduce) delegateBatch() (*Batch, bool, error) {
-	if s.out == nil {
-		s.out = NewBatch(s.Scheme(), resolveBatchSize(s.ec, s.size))
-	}
-	out := s.out
-	out.Reset()
-	for !out.Full() {
-		row, ok, err := s.delegate.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			break
-		}
-		out.AppendRow(row)
-	}
-	if out.Len() == 0 {
-		return nil, false, nil
-	}
-	return out, true, nil
-}
-
-// Next implements Iterator through the batch cursor (or the delegate
-// directly).
-func (s *BatchSemiReduce) Next() ([]relation.Value, bool, error) {
-	if s.delegate != nil {
-		return s.delegate.Next()
-	}
-	return s.cur.next(s.NextBatch)
-}
-
-// resetKeys drops the key set and returns its governor charge.
-func (s *BatchSemiReduce) resetKeys(ec *ExecContext) {
-	s.keyBytes = s.keyBytes[:0]
-	s.koff = s.koff[:0]
-	s.hashes = s.hashes[:0]
-	s.chain = s.chain[:0]
-	s.nkeys = 0
-	s.held.release(ec)
-}
-
-// BufferedRows implements Buffered: the distinct keys held (or the
-// delegate's buffer).
-func (s *BatchSemiReduce) BufferedRows() int {
-	if s.delegate != nil {
-		return s.delegate.BufferedRows()
-	}
-	return s.nkeys
-}
-
-// SpillInfo implements Spiller: only the row delegate can spill.
-func (s *BatchSemiReduce) SpillInfo() SpillStats {
-	if s.delegate != nil {
-		return s.delegate.SpillInfo()
-	}
-	return SpillStats{}
-}
-
-// Close implements Iterator: the key set (and its charge) is released.
-// After a delegation the row operator owns both children.
-func (s *BatchSemiReduce) Close() error {
-	s.cur.reset()
-	s.out = releaseBatch(s.out)
-	if s.delegate != nil {
-		return s.delegate.Close()
-	}
-	s.resetKeys(s.ec)
-	s.keyBytes, s.koff, s.hashes, s.heads, s.chain = nil, nil, nil, nil, nil
-	return s.left.Close()
 }

@@ -8,13 +8,9 @@ import (
 	"freejoin/internal/storage"
 )
 
-// resolveBatchSize picks the batch size an operator opens with: the
-// execution context's override when set, else the operator's configured
-// size, else the default.
-func resolveBatchSize(ec *ExecContext, configured int) int {
-	if n := ec.BatchRows(); n > 0 {
-		return n
-	}
+// batchSize resolves an operator's configured batch size: a positive
+// value as given, else the default.
+func batchSize(configured int) int {
 	if configured > 0 {
 		return configured
 	}
@@ -31,9 +27,12 @@ func ensureBatch(out *Batch, scheme *relation.Scheme, size int) *Batch {
 	return out
 }
 
-// BatchScan is Scan a batch at a time: each NextBatch copies up to size
-// base-table rows into a reused slab, with one error check and one
-// counter update per batch instead of per row.
+// BatchScan reads every row of a table a batch at a time: each
+// NextBatch copies up to size base-table rows into a reused slab, with
+// one error check and one counter update per batch instead of per row.
+// Copying (rather than handing out base-table storage) keeps a caller
+// exercising its right to mutate a batch in place from corrupting the
+// table.
 type BatchScan struct {
 	table    *storage.Table
 	counters *Counters
@@ -47,7 +46,7 @@ type BatchScan struct {
 }
 
 // NewBatchScan returns a batched full-table scan; size <= 0 means
-// DefaultBatchSize (or the execution context's override).
+// DefaultBatchSize.
 func NewBatchScan(t *storage.Table, c *Counters, size int) *BatchScan {
 	return &BatchScan{table: t, counters: c, size: size}
 }
@@ -60,7 +59,7 @@ func (s *BatchScan) Open(ec *ExecContext) error {
 	s.ec = ec
 	s.pos = 0
 	s.rows = s.table.Relation().Len()
-	s.out = ensureBatch(s.out, s.table.Scheme(), resolveBatchSize(ec, s.size))
+	s.out = ensureBatch(s.out, s.table.Scheme(), batchSize(s.size))
 	s.cur.reset()
 	return ec.Err("scan")
 }
@@ -99,71 +98,10 @@ func (s *BatchScan) Close() error {
 	return nil
 }
 
-// BatchRelationScan is RelationScan a batch at a time (no base-tuple
-// accounting — the input is a materialized intermediate).
-type BatchRelationScan struct {
-	rel  *relation.Relation
-	size int
-
-	ec  *ExecContext
-	pos int
-	out *Batch
-	cur batchCursor
-}
-
-// NewBatchRelationScan wraps a relation as a batch iterator.
-func NewBatchRelationScan(rel *relation.Relation, size int) *BatchRelationScan {
-	return &BatchRelationScan{rel: rel, size: size}
-}
-
-// Scheme implements Iterator.
-func (s *BatchRelationScan) Scheme() *relation.Scheme { return s.rel.Scheme() }
-
-// Open implements Iterator.
-func (s *BatchRelationScan) Open(ec *ExecContext) error {
-	s.ec = ec
-	s.pos = 0
-	s.out = ensureBatch(s.out, s.rel.Scheme(), resolveBatchSize(ec, s.size))
-	s.cur.reset()
-	return ec.Err("relationscan")
-}
-
-// NextBatch implements BatchIterator.
-func (s *BatchRelationScan) NextBatch() (*Batch, bool, error) {
-	if err := s.ec.Err("relationscan"); err != nil {
-		return nil, false, err
-	}
-	if s.pos >= s.rel.Len() {
-		return nil, false, nil
-	}
-	s.out.Reset()
-	n := s.out.Cap()
-	if left := s.rel.Len() - s.pos; left < n {
-		n = left
-	}
-	for i := 0; i < n; i++ {
-		s.out.AppendRow(s.rel.RawRow(s.pos + i))
-	}
-	s.pos += n
-	return s.out, true, nil
-}
-
-// Next implements Iterator through the batch cursor.
-func (s *BatchRelationScan) Next() ([]relation.Value, bool, error) {
-	return s.cur.next(s.NextBatch)
-}
-
-// Close implements Iterator.
-func (s *BatchRelationScan) Close() error {
-	s.cur.reset()
-	s.out = releaseBatch(s.out)
-	return nil
-}
-
-// BatchFilter applies a predicate a batch at a time, compacting
-// survivors in place in the child's batch — the ownership contract lets
-// the caller overwrite a batch it was handed, so filtering allocates
-// and copies nothing.
+// BatchFilter applies a predicate to its child's rows a batch at a time,
+// compacting survivors in place in the child's batch — the ownership
+// contract lets the caller overwrite a batch it was handed, so filtering
+// allocates and copies nothing.
 type BatchFilter struct {
 	child Iterator
 	bound predicate.Bound
@@ -191,7 +129,7 @@ func (f *BatchFilter) Open(ec *ExecContext) error {
 	if err := ec.Err("filter"); err != nil {
 		return err
 	}
-	f.bchild = Batching(f.child, resolveBatchSize(ec, f.size))
+	f.bchild = Batching(f.child, batchSize(f.size))
 	f.cur.reset()
 	return f.child.Open(ec)
 }
@@ -227,110 +165,4 @@ func (f *BatchFilter) Next() ([]relation.Value, bool, error) {
 func (f *BatchFilter) Close() error {
 	f.cur.reset()
 	return f.child.Close()
-}
-
-// BatchProject projects a batch at a time into a reused output batch,
-// optionally deduplicating (the dedup set retains one key string per
-// distinct projected row and is charged to the governor, as in Project).
-type BatchProject struct {
-	child  Iterator
-	scheme *relation.Scheme
-	pos    []int
-	dedup  bool
-	size   int
-
-	bchild BatchIterator
-	ec     *ExecContext
-	held   hold
-	seen   map[string]struct{}
-	key    []byte
-	out    *Batch
-	cur    batchCursor
-}
-
-// NewBatchProject builds a batched projection onto attrs.
-func NewBatchProject(child Iterator, attrs []relation.Attr, dedup bool, size int) (*BatchProject, error) {
-	sch, err := child.Scheme().Project(attrs)
-	if err != nil {
-		return nil, fmt.Errorf("exec: project: %w", err)
-	}
-	pos := make([]int, len(attrs))
-	for i, a := range attrs {
-		pos[i] = child.Scheme().IndexOf(a)
-	}
-	return &BatchProject{child: child, scheme: sch, pos: pos, dedup: dedup, size: size}, nil
-}
-
-// Scheme implements Iterator.
-func (p *BatchProject) Scheme() *relation.Scheme { return p.scheme }
-
-// Open implements Iterator.
-func (p *BatchProject) Open(ec *ExecContext) error {
-	if err := ec.Err("project"); err != nil {
-		return err
-	}
-	p.held.release(p.ec) // re-Open without Close: drop any stale charge
-	p.ec = ec
-	size := resolveBatchSize(ec, p.size)
-	p.bchild = Batching(p.child, size)
-	p.out = ensureBatch(p.out, p.scheme, size)
-	p.cur.reset()
-	if p.dedup {
-		p.seen = map[string]struct{}{}
-	}
-	return p.child.Open(ec)
-}
-
-// NextBatch implements BatchIterator.
-func (p *BatchProject) NextBatch() (*Batch, bool, error) {
-	row := make([]relation.Value, len(p.pos))
-	for {
-		b, ok, err := p.bchild.NextBatch()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		p.out.Reset()
-		for i := 0; i < b.Len(); i++ {
-			src := b.Row(i)
-			for j, c := range p.pos {
-				row[j] = src[c]
-			}
-			if p.dedup {
-				buf := p.key[:0]
-				for _, v := range row {
-					buf = relation.AppendKey(buf, v)
-				}
-				p.key = buf
-				if _, dup := p.seen[string(buf)]; dup {
-					continue
-				}
-				if err := p.held.charge(p.ec, "project", row); err != nil {
-					return nil, false, err
-				}
-				p.seen[string(buf)] = struct{}{}
-			}
-			p.out.AppendRow(row)
-		}
-		if p.out.Len() == 0 {
-			continue // all duplicates: pull the next batch
-		}
-		return p.out, true, nil
-	}
-}
-
-// Next implements Iterator through the batch cursor.
-func (p *BatchProject) Next() ([]relation.Value, bool, error) {
-	return p.cur.next(p.NextBatch)
-}
-
-// BufferedRows implements Buffered: the dedup set's size.
-func (p *BatchProject) BufferedRows() int { return len(p.seen) }
-
-// Close implements Iterator: the dedup set is released.
-func (p *BatchProject) Close() error {
-	p.seen = nil
-	p.cur.reset()
-	p.out = releaseBatch(p.out)
-	p.held.release(p.ec)
-	return p.child.Close()
 }

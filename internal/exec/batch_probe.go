@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 
 	"freejoin/internal/obs"
@@ -10,13 +9,15 @@ import (
 	"freejoin/internal/storage"
 )
 
-// BatchIndexJoin is the vectorized IndexJoin: left batches drive hash
-// probes into the inner table's index, and matches are emitted as
-// concatenated (or null-padded) rows into a reused output batch.
-// Retrieved-tuple accounting is amortized to one counter update per
-// batch. The index and inner relation are static, so a probe whose
-// match list outgrows the output batch can suspend and resume on the
-// next call without copying anything.
+// BatchIndexJoin drives the join from the left input and fetches
+// matching inner rows through a hash index on a base table — the access
+// path of Example 1's cheap plan. Left batches drive the probes, and
+// matches are emitted as concatenated (or null-padded) rows into a
+// reused output batch. Each fetched inner row counts as one retrieved
+// tuple, with the accounting amortized to one counter update per batch.
+// The index and inner relation are static, so a probe whose match list
+// outgrows the output batch can suspend and resume on the next call
+// without copying anything.
 type BatchIndexJoin struct {
 	left     Iterator
 	inner    *storage.Table
@@ -31,9 +32,7 @@ type BatchIndexJoin struct {
 
 	ec      *ExecContext
 	bleft   BatchIterator
-	lb      *Batch
-	lpos    int
-	ldone   bool
+	lc      leftCursor
 	crow    []relation.Value // scratch concat row for the residual
 	fetched int64            // tuples fetched since the last flush
 
@@ -53,8 +52,9 @@ type BatchIndexJoin struct {
 	cur batchCursor
 }
 
-// NewBatchIndexJoin mirrors NewIndexJoin with a configured batch size
-// (size <= 0 means DefaultBatchSize or the execution context override).
+// NewBatchIndexJoin probes inner's hash index on idxCol with the value
+// of outerKey in each left row. residual may be nil; size <= 0 means
+// DefaultBatchSize.
 func NewBatchIndexJoin(left Iterator, inner *storage.Table, idxCol string, outerKey relation.Attr,
 	residual predicate.Predicate, mode JoinMode, c *Counters, size int) (*BatchIndexJoin, error) {
 	idx, ok := inner.HashIndexOn(idxCol)
@@ -94,10 +94,10 @@ func (j *BatchIndexJoin) Open(ec *ExecContext) error {
 	if err := ec.Err("indexjoin"); err != nil {
 		return err
 	}
-	size := resolveBatchSize(ec, j.size)
+	size := batchSize(j.size)
 	j.out = ensureBatch(j.out, j.scheme, size)
 	j.bleft = Batching(j.left, size)
-	j.lb, j.lpos, j.ldone = nil, 0, false
+	j.lc.reset(j.nextLeft)
 	j.pendRow, j.pendPositions, j.pendPos = nil, nil, 0
 	j.fetched = 0
 	j.cur.reset()
@@ -141,27 +141,15 @@ func (j *BatchIndexJoin) nextBatch() (*Batch, bool, error) {
 				return out, true, nil
 			}
 		}
-		if j.lb == nil || j.lpos >= j.lb.Len() {
-			if j.ldone {
-				break
-			}
-			b, ok, err := j.bleft.NextBatch()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				j.ldone = true
-				break
-			}
-			j.lb, j.lpos = b, 0
-			if cap(j.spans) < b.Len() {
-				j.spans = make([]storage.IntSpan, b.Len())
-			}
-			j.useSpans = j.index.LookupIntSpans(b.vals, b.width, j.outerKey, j.spans[:b.Len()])
+		ok, err := j.lc.more()
+		if err != nil {
+			return nil, false, err
 		}
-		for j.lpos < j.lb.Len() && !out.Full() && j.pendRow == nil {
-			j.probeRow(out, j.lpos)
-			j.lpos++
+		if !ok {
+			break
+		}
+		for lb := j.lc.b; j.lc.pos < lb.Len() && !out.Full() && j.pendRow == nil; j.lc.pos++ {
+			j.probeRow(out, lb, j.lc.pos)
 		}
 		if out.Full() {
 			return out, true, nil
@@ -173,11 +161,23 @@ func (j *BatchIndexJoin) nextBatch() (*Batch, bool, error) {
 	return out, true, nil
 }
 
-// probeRow probes left row i of the current batch against the index,
-// emitting into out. Each fetched inner row counts as one retrieved
-// tuple, as in the row operator.
-func (j *BatchIndexJoin) probeRow(out *Batch, i int) {
-	lrow := j.lb.Row(i)
+// nextLeft pulls the next left batch and resolves its probes through
+// the index's vectorized span lookup.
+func (j *BatchIndexJoin) nextLeft() (*Batch, bool, error) {
+	b, ok, err := j.bleft.NextBatch()
+	if ok {
+		if cap(j.spans) < b.Len() {
+			j.spans = make([]storage.IntSpan, b.Len())
+		}
+		j.useSpans = j.index.LookupIntSpans(b.vals, b.width, j.outerKey, j.spans[:b.Len()])
+	}
+	return b, ok, err
+}
+
+// probeRow probes left row i of lb against the index, emitting into
+// out. Each fetched inner row counts as one retrieved tuple.
+func (j *BatchIndexJoin) probeRow(out *Batch, lb *Batch, i int) {
+	lrow := lb.Row(i)
 	var positions []int
 	if j.useSpans {
 		positions = j.index.SpanRows(j.spans[i])
@@ -247,32 +247,28 @@ func (j *BatchIndexJoin) Next() ([]relation.Value, bool, error) {
 func (j *BatchIndexJoin) Close() error {
 	j.cur.reset()
 	j.out = releaseBatch(j.out)
-	j.lb, j.pendRow, j.pendPositions = nil, nil, nil
+	j.lc.reset(nil)
+	j.pendRow, j.pendPositions = nil, nil
 	return j.left.Close()
 }
 
-// BatchNestedLoopJoin is the vectorized NestedLoopJoin: the right input
-// is materialized once at Open into a flat value slab (one copy per
-// batch, not per row), and each left row scans the slab, emitting into
+// BatchNestedLoopJoin joins on an arbitrary predicate: the right input
+// is materialized once at Open into flat value slabs (one copy per
+// batch, not per row), and each left row scans the slabs, emitting into
 // a reused output batch. Governor accounting is amortized per build
 // batch.
 //
-// A memory-budget trip during the materialization delegates to the row
-// NestedLoopJoin over the same children, which brings the spill-run
-// path for the inner input.
+// When the materialization trips the memory budget with spilling
+// enabled, the slabs, the batch whose charge tripped and the rest of the
+// right input move to one spill run, which each left batch then scans
+// once (runScan). Without spill the typed resource error propagates.
 type BatchNestedLoopJoin struct {
 	left, right Iterator
-	pred        predicate.Predicate
 	scheme      *relation.Scheme
-	bound       predicate.Bound
+	jp          joinPred
 	mode        JoinMode
 	rwidth      int
 	size        int
-
-	// Pure-equi fast path: compare key columns directly instead of
-	// assembling a concat row for the compiled predicate.
-	equi     bool
-	eqL, eqR []int
 
 	ec   *ExecContext
 	held hold
@@ -283,11 +279,9 @@ type BatchNestedLoopJoin struct {
 	chunks []nlChunk
 	rrows  int
 
+	bsize int
 	bleft BatchIterator
-	lb    *Batch
-	lpos  int
-	ldone bool
-	crow  []relation.Value // scratch concat row for the predicate
+	lc    leftCursor
 
 	// The left row currently scanning the slab; emission resumes at
 	// chunk pendChunk, row pendOff on the next call when the output
@@ -311,42 +305,27 @@ type BatchNestedLoopJoin struct {
 	srb       *Batch // right batch suspended mid-emission
 	srpos     int
 
+	scan *runScan // spilled right input after a budget trip
+	spst SpillStats
+
 	out *Batch
 	cur batchCursor
-
-	delegate Iterator // row NestedLoopJoin after a build memory trip
 }
 
-// NewBatchNestedLoopJoin mirrors NewNestedLoopJoin with a configured
-// batch size.
+// NewBatchNestedLoopJoin builds a nested-loop join with predicate p;
+// size <= 0 means DefaultBatchSize.
 func NewBatchNestedLoopJoin(left, right Iterator, p predicate.Predicate, mode JoinMode, size int) (*BatchNestedLoopJoin, error) {
 	sch, err := outputScheme(left.Scheme(), right.Scheme(), mode)
 	if err != nil {
 		return nil, err
 	}
-	full, err := left.Scheme().Concat(right.Scheme())
-	if err != nil {
-		return nil, err
-	}
-	b, err := predicate.Bind(p, full)
+	jp, err := newJoinPred(p, left.Scheme(), right.Scheme())
 	if err != nil {
 		return nil, fmt.Errorf("exec: nested-loop predicate: %w", err)
 	}
-	n := &BatchNestedLoopJoin{left: left, right: right, pred: p, scheme: sch, bound: b,
-		mode: mode, rwidth: right.Scheme().Len(), size: size}
-	if la, ra, ok := predicate.EquiParts(p, left.Scheme(), right.Scheme()); ok {
-		n.equi = true
-		for i := range la {
-			n.eqL = append(n.eqL, left.Scheme().IndexOf(la[i]))
-			n.eqR = append(n.eqR, right.Scheme().IndexOf(ra[i]))
-		}
-	}
-	return n, nil
+	return &BatchNestedLoopJoin{left: left, right: right, scheme: sch, jp: jp,
+		mode: mode, rwidth: right.Scheme().Len(), size: size}, nil
 }
-
-// DegradedTo returns the row join serving the query after a build
-// memory trip, or nil when the batch path ran.
-func (n *BatchNestedLoopJoin) DegradedTo() Iterator { return n.delegate }
 
 // Scheme implements Iterator.
 func (n *BatchNestedLoopJoin) Scheme() *relation.Scheme { return n.scheme }
@@ -356,34 +335,29 @@ func (n *BatchNestedLoopJoin) Scheme() *relation.Scheme { return n.scheme }
 // time.
 func (n *BatchNestedLoopJoin) Open(ec *ExecContext) error {
 	n.resetBuild(n.ec) // re-Open without Close: drop stale slab + charge
+	n.dropScan(n.ec)   // ... and any stale spill run
 	if n.rightOpen {
 		n.rightOpen = false
 		n.right.Close()
 	}
 	n.ec = ec
-	if n.delegate != nil {
-		// A prior execution delegated: the row join owns the children and
-		// any spill run. Close it (idempotent if the plan was closed
-		// normally) before rebuilding over the same children, or a
-		// re-Open-without-Close would leak its run.
-		n.delegate.Close()
-		n.delegate = nil
-	}
+	n.spst = SpillStats{}
 	n.cur.reset()
-	n.lb, n.lpos, n.ldone = nil, 0, false
+	n.lc.reset(nil)
 	n.pendRow, n.pendChunk, n.pendOff, n.pendMatched = nil, 0, 0, false
 	n.stream, n.sdone, n.smatched = false, false, false
 	n.srb, n.srpos = nil, 0
 	if err := ec.Err("nestedloop"); err != nil {
 		return err
 	}
-	size := resolveBatchSize(ec, n.size)
-	n.out = ensureBatch(n.out, n.scheme, size)
-	n.bleft = Batching(n.left, size)
-	n.bright = Batching(n.right, size)
+	n.bsize = batchSize(n.size)
+	n.out = ensureBatch(n.out, n.scheme, n.bsize)
+	n.bleft = Batching(n.left, n.bsize)
+	n.bright = Batching(n.right, n.bsize)
 	if err := n.left.Open(ec); err != nil {
 		return err
 	}
+	n.lc.reset(n.bleft.NextBatch)
 	lb, ok, err := n.bleft.NextBatch()
 	if err != nil {
 		return err
@@ -391,7 +365,7 @@ func (n *BatchNestedLoopJoin) Open(ec *ExecContext) error {
 	if !ok {
 		// Empty left input: run the normal build anyway so governor and
 		// fault behavior are unchanged; the probe loop emits nothing.
-		n.ldone = true
+		n.lc.done = true
 		return n.buildRight(ec)
 	}
 	if lb.Len() == 1 {
@@ -402,7 +376,6 @@ func (n *BatchNestedLoopJoin) Open(ec *ExecContext) error {
 		}
 		if !more {
 			n.stream = true
-			n.ldone = true
 			if oerr := n.right.Open(ec); oerr != nil {
 				n.right.Close()
 				return oerr
@@ -413,35 +386,40 @@ func (n *BatchNestedLoopJoin) Open(ec *ExecContext) error {
 		// More left input after all: replay the buffered row through the
 		// normal probe path, then continue from the current batch.
 		n.pendRow, n.pendChunk, n.pendOff, n.pendMatched = n.slrow, 0, 0, false
-		n.lb, n.lpos = lb2, 0
-		return n.buildRight(ec)
+		lb = lb2
 	}
-	n.lb, n.lpos = lb, 0
+	n.lc.b, n.lc.pos = lb, 0
 	return n.buildRight(ec)
 }
 
-// buildRight materializes the right input into chunks, delegating to
-// the row join on a memory trip.
+// buildRight materializes the right input into chunks, moving it to a
+// spill run on a memory trip when the context allows it.
 func (n *BatchNestedLoopJoin) buildRight(ec *ExecContext) error {
 	if err := n.right.Open(ec); err != nil {
 		n.right.Close()
-		return n.tripToRow(ec, err)
+		return err
 	}
 	for {
 		b, ok, err := n.bright.NextBatch()
 		if err != nil {
 			n.right.Close()
 			n.resetBuild(ec)
-			return n.tripToRow(ec, err)
+			return err
 		}
 		if !ok {
 			break
 		}
 		// Amortized accounting: one reservation per build batch.
 		if cerr := n.held.chargeN(ec, "nestedloop", int64(b.Len()), b.Bytes()); cerr != nil {
-			n.right.Close()
-			n.resetBuild(ec)
-			return n.tripToRow(ec, cerr)
+			if spillable(ec, cerr) {
+				cerr = n.spillRight(ec, b)
+			}
+			if cerr != nil {
+				n.right.Close()
+				n.resetBuild(ec)
+				return cerr
+			}
+			break
 		}
 		vals := getSlab(len(b.vals))
 		copy(vals, b.vals)
@@ -450,37 +428,63 @@ func (n *BatchNestedLoopJoin) buildRight(ec *ExecContext) error {
 	}
 	if err := n.right.Close(); err != nil {
 		n.resetBuild(ec)
+		n.dropScan(ec)
 		return err
 	}
 	return nil
 }
 
-// tripToRow delegates a MemoryExceeded build failure to the row
-// NestedLoopJoin over the same children (the right child has been
-// closed; the delegate re-opens it, a full reset under the iterator
-// contract, and brings the spill-run path). Non-memory errors propagate
-// unchanged.
-func (n *BatchNestedLoopJoin) tripToRow(ec *ExecContext, err error) error {
-	var re *ResourceError
-	if !errors.As(err, &re) || re.Kind != MemoryExceeded {
+// spillRight moves the inner input to one spill run — the slabs
+// buffered so far, the batch whose charge tripped, then the rest of the
+// right stream — and hands the left stream, including what the Open-time
+// peek consumed, to a run scan.
+func (n *BatchNestedLoopJoin) spillRight(ec *ExecContext, trip *Batch) error {
+	prefix := make([][]relation.Value, 0, len(n.chunks)+1)
+	for _, ch := range n.chunks {
+		prefix = append(prefix, ch.vals)
+	}
+	run, err := spillInput(ec, "nestedloop", n.bright, n.rwidth, append(prefix, trip.vals)...)
+	if err != nil {
 		return err
 	}
-	d, derr := NewNestedLoopJoin(n.left, n.right, n.pred, n.mode)
-	if derr != nil {
-		return err // keep the original trip
+	n.resetBuild(ec)
+	n.spst.Runs++
+	n.spst.Bytes += run.Bytes
+	var queue []*Batch
+	if n.pendRow != nil {
+		one := NewBatch(n.left.Scheme(), 1)
+		one.AppendRow(n.pendRow)
+		queue = append(queue, one)
+		n.pendRow = nil
 	}
-	// The peek opened the left child; the delegate's Open re-opens it,
-	// so balance the lifecycle here or the extra open leaks.
-	if cerr := n.left.Close(); cerr != nil {
-		return cerr
+	if n.lc.b != nil {
+		queue = append(queue, n.lc.b)
 	}
-	ec.Governor().Note("nestedloop: batch build memory trip, delegating to row nested loop")
+	done := n.lc.done
+	n.lc.reset(nil)
+	n.scan = &runScan{run: run, rsch: n.right.Scheme(), jp: &n.jp, mode: n.mode, size: n.bsize,
+		src: func() (*Batch, bool, error) {
+			if len(queue) > 0 {
+				b := queue[0]
+				queue = queue[1:]
+				return b, true, nil
+			}
+			if done {
+				return nil, false, nil
+			}
+			return n.bleft.NextBatch()
+		}}
 	obs.GovernorDegradations.Inc()
-	if oerr := d.Open(ec); oerr != nil {
-		return oerr
-	}
-	n.delegate = d
+	ec.Governor().Note("nestedloop: memory budget trip, spilling inner input to disk")
 	return nil
+}
+
+// dropScan releases the spill run and its scan state, if any.
+func (n *BatchNestedLoopJoin) dropScan(ec *ExecContext) {
+	if n.scan != nil {
+		n.scan.drop(ec)
+		n.scan = nil
+	}
 }
 
 // nlChunk is one materialized right batch: rows*width values in a slab.
@@ -491,51 +495,51 @@ type nlChunk struct {
 
 // NextBatch implements BatchIterator: the probe loop.
 func (n *BatchNestedLoopJoin) NextBatch() (*Batch, bool, error) {
-	if n.delegate != nil {
-		return n.delegateBatch()
-	}
 	if err := n.ec.Err("nestedloop"); err != nil {
 		return nil, false, err
 	}
-	if n.stream {
-		return n.streamBatch()
-	}
 	out := n.out
 	out.Reset()
-	for {
-		if n.pendRow != nil {
-			n.drainPend(out)
-			if out.Full() {
-				return out, true, nil
-			}
+	switch {
+	case n.stream:
+		return n.streamBatch()
+	case n.scan != nil:
+		if _, err := n.scan.fill(out); err != nil {
+			return nil, false, err
 		}
-		if n.lb == nil || n.lpos >= n.lb.Len() {
-			if n.ldone {
-				break
-			}
-			b, ok, err := n.bleft.NextBatch()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				n.ldone = true
-				break
-			}
-			n.lb, n.lpos = b, 0
-		}
-		for n.lpos < n.lb.Len() && !out.Full() && n.pendRow == nil {
-			n.pendRow, n.pendChunk, n.pendOff, n.pendMatched = n.lb.Row(n.lpos), 0, 0, false
-			n.lpos++
-			n.drainPend(out)
-		}
-		if out.Full() {
-			return out, true, nil
+	default:
+		if err := n.probe(out); err != nil {
+			return nil, false, err
 		}
 	}
 	if out.Len() == 0 {
 		return nil, false, nil
 	}
 	return out, true, nil
+}
+
+// probe fills out by scanning the slabs once per left row.
+func (n *BatchNestedLoopJoin) probe(out *Batch) error {
+	for {
+		if n.pendRow != nil {
+			n.drainPend(out)
+			if out.Full() {
+				return nil
+			}
+		}
+		ok, err := n.lc.more()
+		if err != nil || !ok {
+			return err
+		}
+		for lb := n.lc.b; n.lc.pos < lb.Len() && !out.Full() && n.pendRow == nil; {
+			n.pendRow, n.pendChunk, n.pendOff, n.pendMatched = lb.Row(n.lc.pos), 0, 0, false
+			n.lc.pos++
+			n.drainPend(out)
+		}
+		if out.Full() {
+			return nil
+		}
+	}
 }
 
 // streamBatch is the single-driving-row probe: right batches stream
@@ -545,26 +549,13 @@ func (n *BatchNestedLoopJoin) streamBatch() (*Batch, bool, error) {
 		return nil, false, nil
 	}
 	out := n.out
-	out.Reset()
 	lrow := n.slrow
-	if n.equi {
-		for _, k := range n.eqL {
-			if lrow[k].IsNull() {
-				// 3VL: a null key matches nothing; resolve the row
-				// without touching the right input.
-				return n.streamFinish(out)
-			}
-		}
+	if n.jp.leftNull(lrow) {
+		// 3VL: a null key matches nothing; resolve the row without
+		// touching the right input.
+		return n.streamFinish(out)
 	}
-	var crow []relation.Value
-	if !n.equi {
-		w := len(lrow) + n.rwidth
-		if cap(n.crow) < w {
-			n.crow = make([]relation.Value, w)
-		}
-		crow = n.crow[:w]
-		copy(crow, lrow)
-	}
+	n.jp.setLeft(lrow, n.rwidth)
 	for {
 		if n.srb == nil || n.srpos >= n.srb.Len() {
 			b, ok, err := n.bright.NextBatch()
@@ -579,23 +570,8 @@ func (n *BatchNestedLoopJoin) streamBatch() (*Batch, bool, error) {
 		for n.srpos < n.srb.Len() {
 			rrow := n.srb.Row(n.srpos)
 			n.srpos++
-			if n.equi {
-				hit := true
-				for k := range n.eqL {
-					rv := rrow[n.eqR[k]]
-					if rv.IsNull() || lrow[n.eqL[k]].Compare(rv) != 0 {
-						hit = false
-						break
-					}
-				}
-				if !hit {
-					continue
-				}
-			} else {
-				copy(crow[len(lrow):], rrow)
-				if !n.bound.Holds(crow) {
-					continue
-				}
+			if !n.jp.match(lrow, rrow) {
+				continue
 			}
 			n.smatched = true
 			switch n.mode {
@@ -648,27 +624,12 @@ func (n *BatchNestedLoopJoin) streamFinish(out *Batch) (*Batch, bool, error) {
 // row is deferred to the next call if the batch fills first.
 func (n *BatchNestedLoopJoin) drainPend(out *Batch) {
 	lrow := n.pendRow
-	if n.equi {
+	if n.jp.leftNull(lrow) {
 		// 3VL short-circuit: a null left key matches nothing, so the
 		// whole scan resolves to a miss without touching the slab.
-		for _, k := range n.eqL {
-			if lrow[k].IsNull() {
-				n.pendChunk, n.pendOff = len(n.chunks), 0
-				break
-			}
-		}
+		n.pendChunk, n.pendOff = len(n.chunks), 0
 	}
-	var crow []relation.Value
-	if !n.equi {
-		// The left prefix of the scratch concat row is fixed for the
-		// whole scan; only the right suffix changes per candidate.
-		w := len(lrow) + n.rwidth
-		if cap(n.crow) < w {
-			n.crow = make([]relation.Value, w)
-		}
-		crow = n.crow[:w]
-		copy(crow, lrow)
-	}
+	n.jp.setLeft(lrow, n.rwidth)
 scan:
 	for n.pendChunk < len(n.chunks) && !out.Full() {
 		ch := &n.chunks[n.pendChunk]
@@ -676,23 +637,8 @@ scan:
 			s := n.pendOff * n.rwidth
 			rrow := ch.vals[s : s+n.rwidth : s+n.rwidth]
 			n.pendOff++
-			if n.equi {
-				hit := true
-				for k := range n.eqL {
-					rv := rrow[n.eqR[k]]
-					if rv.IsNull() || lrow[n.eqL[k]].Compare(rv) != 0 {
-						hit = false
-						break
-					}
-				}
-				if !hit {
-					continue
-				}
-			} else {
-				copy(crow[len(lrow):], rrow)
-				if !n.bound.Holds(crow) {
-					continue
-				}
+			if !n.jp.match(lrow, rrow) {
+				continue
 			}
 			n.pendMatched = true
 			switch n.mode {
@@ -712,26 +658,15 @@ scan:
 		}
 	}
 	if n.pendChunk >= len(n.chunks) {
-		switch n.mode {
-		case LeftOuterMode:
-			if !n.pendMatched {
-				if out.Full() {
-					return // emit on the next call; pendRow stays set
-				}
+		emit := (n.mode == LeftOuterMode || n.mode == AntiMode) && !n.pendMatched ||
+			n.mode == SemiMode && n.pendMatched
+		if emit {
+			if out.Full() {
+				return // emit on the next call; pendRow stays set
+			}
+			if n.mode == LeftOuterMode {
 				out.AppendPad(lrow)
-			}
-		case SemiMode:
-			if n.pendMatched {
-				if out.Full() {
-					return
-				}
-				out.AppendRow(lrow)
-			}
-		case AntiMode:
-			if !n.pendMatched {
-				if out.Full() {
-					return
-				}
+			} else {
 				out.AppendRow(lrow)
 			}
 		}
@@ -739,32 +674,8 @@ scan:
 	}
 }
 
-// delegateBatch serves the row delegate's stream re-batched.
-func (n *BatchNestedLoopJoin) delegateBatch() (*Batch, bool, error) {
-	out := n.out
-	out.Reset()
-	for !out.Full() {
-		row, ok, err := n.delegate.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			break
-		}
-		out.AppendRow(row)
-	}
-	if out.Len() == 0 {
-		return nil, false, nil
-	}
-	return out, true, nil
-}
-
-// Next implements Iterator through the batch cursor (or the delegate
-// directly).
+// Next implements Iterator through the batch cursor.
 func (n *BatchNestedLoopJoin) Next() ([]relation.Value, bool, error) {
-	if n.delegate != nil {
-		return n.delegate.Next()
-	}
 	return n.cur.next(n.NextBatch)
 }
 
@@ -780,43 +691,26 @@ func (n *BatchNestedLoopJoin) resetBuild(ec *ExecContext) {
 	n.held.release(ec)
 }
 
-// BufferedRows implements Buffered: the slab's row count (or the
-// delegate's buffer).
-func (n *BatchNestedLoopJoin) BufferedRows() int {
-	if n.delegate != nil {
-		if b, ok := n.delegate.(Buffered); ok {
-			return b.BufferedRows()
-		}
-		return 0
-	}
-	return n.rrows
-}
+// BufferedRows implements Buffered: the slab's row count.
+func (n *BatchNestedLoopJoin) BufferedRows() int { return n.rrows }
 
-// SpillInfo implements Spiller: only the row delegate can spill.
-func (n *BatchNestedLoopJoin) SpillInfo() SpillStats {
-	if n.delegate != nil {
-		if s, ok := n.delegate.(Spiller); ok {
-			return s.SpillInfo()
-		}
-	}
-	return SpillStats{}
-}
+// SpillInfo implements Spiller.
+func (n *BatchNestedLoopJoin) SpillInfo() SpillStats { return n.spst }
 
-// Close implements Iterator: the slab (and its charge) is released.
-// After a delegation the row join owns both children and closes them.
+// Close implements Iterator: the slab (and its charge) and any spill run
+// are released.
 func (n *BatchNestedLoopJoin) Close() error {
 	n.cur.reset()
 	n.out = releaseBatch(n.out)
-	n.lb, n.pendRow, n.srb = nil, nil, nil
-	if n.delegate != nil {
-		return n.delegate.Close()
-	}
+	n.lc.reset(nil)
+	n.pendRow, n.srb = nil, nil
 	var rerr error
 	if n.rightOpen {
 		n.rightOpen = false
 		rerr = n.right.Close()
 	}
 	n.resetBuild(n.ec)
+	n.dropScan(n.ec)
 	n.chunks = nil
 	lerr := n.left.Close()
 	if rerr != nil {

@@ -10,11 +10,12 @@ import (
 )
 
 // Unit coverage for the batch layer itself: the null bitmap, the
-// row/batch adapter round-trip, boundary batch sizes, trip delegation,
-// and the single-row stream mode of the batch nested-loop join — with
-// regression tests for the two ownership bugs the vectorization work
-// surfaced (re-Open leaking a stale delegate's spill run, and the peek
-// leaving the left child doubly opened across a delegation).
+// row/batch adapter round-trip, boundary batch sizes, the spill paths a
+// build trip takes, and the single-row stream mode of the nested-loop
+// join — with regression tests for the ownership bugs the vectorization
+// work surfaced (re-Open leaking a stale spill run, the peek leaving the
+// left child doubly opened across a trip, and probe loops re-reading a
+// left batch the producer had already refilled).
 
 // TestBatchNullBitmap checks every append path maintains the bitmap:
 // copied rows, concatenated rows, null padding, and in-place moves.
@@ -67,14 +68,14 @@ func TestBatchNullBitmap(t *testing.T) {
 // the input length, and one larger than the whole input).
 func TestBatchingAdapterRoundTrip(t *testing.T) {
 	rt, _ := contractTables(t)
-	ref, err := Collect(NewScan(rt, &Counters{}), nil)
+	ref, err := Collect(NewRelationScan(rt.Relation()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, size := range []int{1, 2, 3, 100} {
 		// Row child behind the adapter, drained by batches.
 		var c Counters
-		a := Batching(NewScan(rt, &c), size)
+		a := Batching(NewRelationScan(rt.Relation()), size)
 		if err := a.Open(nil); err != nil {
 			t.Fatal(err)
 		}
@@ -110,16 +111,15 @@ func TestBatchingAdapterRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatchHashJoinTripDelegates forces the batched build over budget
-// with spilling on and checks the join degrades to the row hash join —
-// observable through DegradedTo — which completes through its
-// grace-hash path, still producing the right bag.
-func TestBatchHashJoinTripDelegates(t *testing.T) {
+// TestBatchHashJoinTripSpills forces the batched build over budget with
+// spilling on and checks the join completes through its own grace-hash
+// path — partitions written, the right bag, nothing left behind.
+func TestBatchHashJoinTripSpills(t *testing.T) {
 	rt, st := contractTables(t)
 	rk, sk := relation.A("R", "k"), relation.A("S", "k")
 	mk := func() *BatchHashJoin {
 		var c Counters
-		h, err := NewBatchHashJoin(NewScan(rt, &c), NewScan(st, &c),
+		h, err := NewBatchHashJoin(NewBatchScan(rt, &c, 2), NewBatchScan(st, &c, 2),
 			[]relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -138,13 +138,13 @@ func TestBatchHashJoinTripDelegates(t *testing.T) {
 	ec, gov, dir := spillCtx(t, 150)
 	got, err := CollectCtx(ec, h, nil)
 	if err != nil {
-		t.Fatalf("tripped join should delegate, not fail: %v", err)
+		t.Fatalf("tripped join should spill, not fail: %v", err)
 	}
-	if h.DegradedTo() == nil {
-		t.Fatal("150-byte budget did not force delegation to the row join")
+	if h.SpillInfo().Partitions == 0 {
+		t.Fatal("150-byte budget did not force a grace spill")
 	}
 	if !got.EqualBag(ref) {
-		t.Errorf("delegated bag differs: %d rows, want %d", got.Len(), ref.Len())
+		t.Errorf("spilled bag differs: %d rows, want %d", got.Len(), ref.Len())
 	}
 	checkSpillDrained(t, gov, dir)
 }
@@ -198,9 +198,6 @@ func TestBatchNestedLoopStreamMode(t *testing.T) {
 			if err != nil {
 				t.Fatalf("stream mode tripped the budget: %v", err)
 			}
-			if n.DegradedTo() != nil {
-				t.Fatal("single-row left delegated instead of streaming")
-			}
 			if got.Len() != tc.wantRows {
 				t.Errorf("rows = %d, want %d\n%v", got.Len(), tc.wantRows, got)
 			}
@@ -236,31 +233,30 @@ func TestBatchNestedLoopStreamContract(t *testing.T) {
 	}
 }
 
-// TestBatchReopenClosesStaleDelegate is the regression test for the
-// spill leak the metamorphic oracle caught: an operator whose previous
-// execution delegated to the row join (with live spill state) is
-// re-opened WITHOUT an intervening Close — the iterator contract allows
-// this — and must close the stale delegate first. Before the fix the
-// delegate's spill run leaked its governor reservation and run file.
-func TestBatchReopenClosesStaleDelegate(t *testing.T) {
+// TestBatchReopenDropsStaleSpill is the regression test for the spill
+// leak the metamorphic oracle caught: an operator whose previous
+// execution spilled (with a live run) is re-opened WITHOUT an
+// intervening Close — the iterator contract allows this — and must drop
+// the stale run first, or its governor reservation and file leak.
+func TestBatchReopenDropsStaleSpill(t *testing.T) {
 	rt, st := contractTables(t)
 	var c Counters
-	n, err := NewBatchNestedLoopJoin(NewScan(rt, &c), NewScan(st, &c),
+	n, err := NewBatchNestedLoopJoin(NewBatchScan(rt, &c, 2), NewBatchScan(st, &c, 2),
 		predicate.Eq(relation.A("R", "k"), relation.A("S", "k")), InnerMode, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ec, gov, dir := spillCtx(t, 96)
 
-	// Cycle 1: the build trips, delegates to the row join, which spills.
+	// Cycle 1: the build trips and spills the inner input.
 	if err := n.Open(ec); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := n.Next(); err != nil {
 		t.Fatal(err)
 	}
-	if n.DegradedTo() == nil {
-		t.Fatal("96-byte budget did not force delegation")
+	if n.SpillInfo().Runs == 0 {
+		t.Fatal("96-byte budget did not force a spill")
 	}
 
 	// Cycle 2: re-Open without Close, drain fully, Close.
@@ -282,13 +278,12 @@ func TestBatchReopenClosesStaleDelegate(t *testing.T) {
 	checkSpillDrained(t, gov, dir)
 }
 
-// TestBatchStreamTripDelegationBalancesLeft is the regression test for
-// the double-open leak: the Open-time peek holds the left child open,
-// and a memory trip during the right build delegates to the row join
-// which re-opens both children. The delegation must close the peeked
-// left child first, or its open count leaks (audited by the fault
-// iterator's lifecycle counters).
-func TestBatchStreamTripDelegationBalancesLeft(t *testing.T) {
+// TestBatchNestedLoopTripSpillBalancesLeft: the Open-time peek holds the
+// left child open and a memory trip during the right build spills. The
+// spilled join must carry on from the peeked rows (no re-open of either
+// child, so the open counts audited by the fault iterators balance) and
+// still produce the right bag.
+func TestBatchNestedLoopTripSpillBalancesLeft(t *testing.T) {
 	rt, st := contractTables(t)
 	lf := storage.NewFaultTable(rt, storage.Fault{}).Iterator()
 	rf := storage.NewFaultTable(st, storage.Fault{}).Iterator()
@@ -298,11 +293,17 @@ func TestBatchStreamTripDelegationBalancesLeft(t *testing.T) {
 		t.Fatal(err)
 	}
 	ec, gov, dir := spillCtx(t, 96)
-	if _, err := CollectCtx(ec, n, nil); err != nil {
+	got, err := CollectCtx(ec, n, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n.DegradedTo() == nil {
-		t.Fatal("96-byte budget did not force delegation")
+	if n.SpillInfo().Runs == 0 {
+		t.Fatal("96-byte budget did not force a spill")
+	}
+	want := refFor(t, InnerMode, rt.Relation(), st.Relation(),
+		predicate.Eq(relation.A("R", "k"), relation.A("S", "k")))
+	if !got.EqualBag(want) {
+		t.Errorf("spilled bag differs:\n%v\nwant:\n%v", got, want)
 	}
 	for name, f := range map[string]*storage.FaultIterator{"left": lf, "right": rf} {
 		if f.OpenCalls != f.CloseCalls {
@@ -310,4 +311,63 @@ func TestBatchStreamTripDelegationBalancesLeft(t *testing.T) {
 		}
 	}
 	checkSpillDrained(t, gov, dir)
+}
+
+// TestStaleLeftBatchNotReprobed is the regression test for the
+// stale-left-batch defect shared by the three probe loops: a filter
+// refills its batch object with rows it then rejects, and reports end
+// of stream holding that refilled batch. A join that kept its pointer
+// to the batch probed those rejected rows on its next call (hash and
+// nested loop emitted them; the index join indexed past its span
+// vector and panicked).
+func TestStaleLeftBatchNotReprobed(t *testing.T) {
+	rrows := make([][]any, 12)
+	srows := make([][]any, 12)
+	for i := range rrows {
+		rrows[i] = []any{i, i}
+		srows[i] = []any{i, 100 + i}
+	}
+	rt := storage.NewTable("R", relation.FromRows("R", []string{"k", "b"}, rrows...))
+	st := storage.NewTable("S", relation.FromRows("S", []string{"k", "w"}, srows...))
+	if _, err := st.BuildHashIndex("k"); err != nil {
+		t.Fatal(err)
+	}
+	rk, sk := relation.A("R", "k"), relation.A("S", "k")
+	key := predicate.Eq(rk, sk)
+	const size = 4
+	left := func() Iterator {
+		f, err := NewBatchFilter(NewBatchScan(rt, nil, size),
+			predicate.Cmp(predicate.LtOp, predicate.Col(relation.A("R", "b")), predicate.Const(relation.Int(2))), size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	joins := map[string]func() (Iterator, error){
+		"hash": func() (Iterator, error) {
+			return NewBatchHashJoin(left(), NewBatchScan(st, nil, size),
+				[]relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, size)
+		},
+		"nestedloop": func() (Iterator, error) {
+			return NewBatchNestedLoopJoin(left(), NewBatchScan(st, nil, size), key, InnerMode, size)
+		},
+		"index": func() (Iterator, error) {
+			return NewBatchIndexJoin(left(), st, "k", rk, nil, InnerMode, nil, size)
+		},
+	}
+	for name, mk := range joins {
+		t.Run(name, func(t *testing.T) {
+			it, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Collect(it, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Len() != 2 {
+				t.Fatalf("rows = %d, want 2 (R.b < 2 keeps k = 0, 1):\n%v", got.Len(), got)
+			}
+		})
+	}
 }

@@ -26,7 +26,6 @@ import (
 
 	"freejoin/internal/exec/spill"
 	"freejoin/internal/obs"
-	"freejoin/internal/predicate"
 	"freejoin/internal/relation"
 	"freejoin/internal/resource"
 	"freejoin/internal/storage"
@@ -81,13 +80,11 @@ func NewGovernor(limitRows, limitBytes int64) *Governor {
 var NewExecContext = resource.NewContext
 
 // Counters accumulates execution effort across a plan. The fields are
-// atomic so that a monitoring scrape (or any other goroutine — a
-// ParallelHashJoin worker, a progress reporter) can read them while the
-// executing goroutine updates them; today every *writer* is the single
-// executing goroutine (scans and index lookups run serially, parallel
-// join workers charge the governor but not the counters), and the
-// atomics make the cross-goroutine *reads* race-free. All methods are
-// nil-safe: a nil *Counters counts nothing and reads zero.
+// atomic so that a monitoring scrape (or any other goroutine, such as a
+// progress reporter) can read them while the executing goroutine
+// updates them; every *writer* is the single executing goroutine, and
+// the atomics make the cross-goroutine *reads* race-free. All methods
+// are nil-safe: a nil *Counters counts nothing and reads zero.
 type Counters struct {
 	tuplesRetrieved atomic.Int64
 	rowsProduced    atomic.Int64
@@ -308,55 +305,6 @@ func CollectCtx(ec *ExecContext, it Iterator, c *Counters) (*relation.Relation, 
 	return out, nil
 }
 
-// Scan reads every row of a table. Rows are served from a reused
-// per-iterator buffer: handing out base-table storage directly would let
-// a caller exercising its ownership right to mutate the row corrupt the
-// table.
-type Scan struct {
-	table    *storage.Table
-	counters *Counters
-	ec       *ExecContext
-	pos      int
-	buf      []relation.Value
-}
-
-// NewScan returns a full-table scan.
-func NewScan(t *storage.Table, c *Counters) *Scan {
-	return &Scan{table: t, counters: c}
-}
-
-// Scheme implements Iterator.
-func (s *Scan) Scheme() *relation.Scheme { return s.table.Scheme() }
-
-// Open implements Iterator.
-func (s *Scan) Open(ec *ExecContext) error {
-	s.ec = ec
-	s.pos = 0
-	return ec.Err("scan")
-}
-
-// Next implements Iterator.
-func (s *Scan) Next() ([]relation.Value, bool, error) {
-	if err := s.ec.Err("scan"); err != nil {
-		return nil, false, err
-	}
-	if s.pos >= s.table.Relation().Len() {
-		return nil, false, nil
-	}
-	if s.buf == nil {
-		s.buf = make([]relation.Value, s.table.Scheme().Len())
-	}
-	copy(s.buf, s.table.Relation().RawRow(s.pos))
-	s.pos++
-	if s.counters != nil {
-		s.counters.IncTuples()
-	}
-	return s.buf, true, nil
-}
-
-// Close implements Iterator.
-func (s *Scan) Close() error { return nil }
-
 // IndexScan fetches only the rows of a table whose indexed column equals
 // a constant — the access path a pushed-down equality restriction earns
 // when the column has a hash index. Each fetched row counts as one
@@ -460,127 +408,6 @@ func (s *RelationScan) Next() ([]relation.Value, bool, error) {
 
 // Close implements Iterator.
 func (s *RelationScan) Close() error { return nil }
-
-// Filter applies a predicate to its child's rows.
-type Filter struct {
-	child Iterator
-	bound predicate.Bound
-}
-
-// NewFilter compiles p against the child's scheme.
-func NewFilter(child Iterator, p predicate.Predicate) (*Filter, error) {
-	b, err := predicate.Bind(p, child.Scheme())
-	if err != nil {
-		return nil, fmt.Errorf("exec: filter: %w", err)
-	}
-	return &Filter{child: child, bound: b}, nil
-}
-
-// Scheme implements Iterator.
-func (f *Filter) Scheme() *relation.Scheme { return f.child.Scheme() }
-
-// Open implements Iterator.
-func (f *Filter) Open(ec *ExecContext) error {
-	if err := ec.Err("filter"); err != nil {
-		return err
-	}
-	return f.child.Open(ec)
-}
-
-// Next implements Iterator.
-func (f *Filter) Next() ([]relation.Value, bool, error) {
-	for {
-		row, ok, err := f.child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if f.bound.Holds(row) {
-			return row, true, nil
-		}
-	}
-}
-
-// Close implements Iterator.
-func (f *Filter) Close() error { return f.child.Close() }
-
-// Project restricts rows to a subset of attributes, optionally removing
-// duplicates.
-type Project struct {
-	child  Iterator
-	scheme *relation.Scheme
-	pos    []int
-	dedup  bool
-	ec     *ExecContext
-	held   hold
-	seen   map[string]struct{}
-	key    []byte // scratch buffer for dedup keys, reused across rows
-}
-
-// NewProject builds a projection onto attrs.
-func NewProject(child Iterator, attrs []relation.Attr, dedup bool) (*Project, error) {
-	sch, err := child.Scheme().Project(attrs)
-	if err != nil {
-		return nil, fmt.Errorf("exec: project: %w", err)
-	}
-	pos := make([]int, len(attrs))
-	for i, a := range attrs {
-		pos[i] = child.Scheme().IndexOf(a)
-	}
-	return &Project{child: child, scheme: sch, pos: pos, dedup: dedup}, nil
-}
-
-// Scheme implements Iterator.
-func (p *Project) Scheme() *relation.Scheme { return p.scheme }
-
-// Open implements Iterator.
-func (p *Project) Open(ec *ExecContext) error {
-	if err := ec.Err("project"); err != nil {
-		return err
-	}
-	p.held.release(p.ec) // re-Open without Close: drop any stale charge
-	p.ec = ec
-	if p.dedup {
-		p.seen = map[string]struct{}{}
-	}
-	return p.child.Open(ec)
-}
-
-// Next implements Iterator.
-func (p *Project) Next() ([]relation.Value, bool, error) {
-	for {
-		row, ok, err := p.child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		out := make([]relation.Value, len(p.pos))
-		for i, c := range p.pos {
-			out[i] = row[c]
-		}
-		if p.dedup {
-			buf := p.key[:0]
-			for _, v := range out {
-				buf = relation.AppendKey(buf, v)
-			}
-			p.key = buf
-			if _, dup := p.seen[string(buf)]; dup {
-				continue
-			}
-			// The dedup set retains one projected row per distinct key.
-			if err := p.held.charge(p.ec, "project", out); err != nil {
-				return nil, false, err
-			}
-			p.seen[string(buf)] = struct{}{}
-		}
-		return out, true, nil
-	}
-}
-
-// Close implements Iterator: the dedup set is released.
-func (p *Project) Close() error {
-	p.seen = nil
-	p.held.release(p.ec)
-	return p.child.Close()
-}
 
 // Sort orders its input by the given columns (ascending, nulls first),
 // enabling merge joins and deterministic output. In memory it is a plain
@@ -884,7 +711,7 @@ func newRunMerge(runs []*spill.Run, by []int) (*runMerge, error) {
 			return nil, err
 		}
 		m.rds = append(m.rds, rd)
-		head, ok, err := rd.Next()
+		head, ok, err := rd.Next(nil)
 		if err != nil {
 			m.Close()
 			return nil, err
@@ -914,7 +741,7 @@ func (m *runMerge) Next() ([]relation.Value, bool, error) {
 		return nil, false, nil
 	}
 	row := m.heads[best]
-	next, ok, err := m.rds[best].Next()
+	next, ok, err := m.rds[best].Next(nil)
 	if err != nil {
 		return nil, false, err
 	}

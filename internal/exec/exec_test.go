@@ -24,10 +24,10 @@ func randRel(rnd *rand.Rand, name string, n int) *relation.Relation {
 	return r
 }
 
-func scanOf(t *testing.T, name string, rel *relation.Relation, c *Counters) (*Scan, *storage.Table) {
+func scanOf(t *testing.T, name string, rel *relation.Relation, c *Counters) (*BatchScan, *storage.Table) {
 	t.Helper()
 	tb := storage.NewTable(name, rel)
-	return NewScan(tb, c), tb
+	return NewBatchScan(tb, c, 0), tb
 }
 
 // refFor computes the expected result of a physical join mode via the
@@ -110,7 +110,7 @@ func TestFilter(t *testing.T) {
 	rel := relation.FromRows("R", []string{"k", "v"}, []any{1, 2}, []any{3, 4}, []any{nil, 9})
 	s, _ := scanOf(t, "R", rel, nil)
 	p := predicate.Cmp(predicate.GtOp, predicate.Col(relation.A("R", "k")), predicate.Const(relation.Int(1)))
-	f, err := NewFilter(s, p)
+	f, err := NewBatchFilter(s, p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,37 +123,8 @@ func TestFilter(t *testing.T) {
 		t.Errorf("filter mismatch:\n%v\nvs\n%v", out, want)
 	}
 	s2, _ := scanOf(t, "R", rel, nil)
-	if _, err := NewFilter(s2, predicate.NewIsNull(relation.A("Z", "z"))); err == nil {
+	if _, err := NewBatchFilter(s2, predicate.NewIsNull(relation.A("Z", "z")), 0); err == nil {
 		t.Error("unbindable filter must fail")
-	}
-}
-
-func TestProject(t *testing.T) {
-	rel := relation.FromRows("R", []string{"k", "v"}, []any{1, 2}, []any{1, 3}, []any{1, 2})
-	attrs := []relation.Attr{relation.A("R", "k")}
-
-	s, _ := scanOf(t, "R", rel, nil)
-	p, err := NewProject(s, attrs, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _ := Collect(p, nil)
-	want, _ := algebra.Project(rel, attrs, false)
-	if !out.EqualBag(want) {
-		t.Error("bag projection mismatch")
-	}
-
-	s2, _ := scanOf(t, "R", rel, nil)
-	p2, _ := NewProject(s2, attrs, true)
-	out2, _ := Collect(p2, nil)
-	want2, _ := algebra.Project(rel, attrs, true)
-	if !out2.EqualBag(want2) {
-		t.Error("dedup projection mismatch")
-	}
-
-	s3, _ := scanOf(t, "R", rel, nil)
-	if _, err := NewProject(s3, []relation.Attr{relation.A("Z", "z")}, false); err == nil {
-		t.Error("unknown attribute must fail")
 	}
 }
 
@@ -194,9 +165,9 @@ func TestHashJoinAllModes(t *testing.T) {
 		for _, mode := range allModes {
 			ls, _ := scanOf(t, "R", lrel, nil)
 			rs, _ := scanOf(t, "S", rrel, nil)
-			hj, err := NewHashJoin(ls, rs,
+			hj, err := NewBatchHashJoin(ls, rs,
 				[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")},
-				nil, mode)
+				nil, mode, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -224,9 +195,9 @@ func TestHashJoinResidual(t *testing.T) {
 		for _, mode := range allModes {
 			ls, _ := scanOf(t, "R", lrel, nil)
 			rs, _ := scanOf(t, "S", rrel, nil)
-			hj, err := NewHashJoin(ls, rs,
+			hj, err := NewBatchHashJoin(ls, rs,
 				[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")},
-				residual, mode)
+				residual, mode, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -244,15 +215,15 @@ func TestHashJoinErrors(t *testing.T) {
 	rrel := randRel(rand.New(rand.NewSource(2)), "S", 3)
 	ls, _ := scanOf(t, "R", lrel, nil)
 	rs, _ := scanOf(t, "S", rrel, nil)
-	if _, err := NewHashJoin(ls, rs, nil, nil, nil, InnerMode); err == nil {
+	if _, err := NewBatchHashJoin(ls, rs, nil, nil, nil, InnerMode, 3); err == nil {
 		t.Error("empty key list must fail")
 	}
-	if _, err := NewHashJoin(ls, rs,
-		[]relation.Attr{relation.A("Z", "z")}, []relation.Attr{relation.A("S", "k")}, nil, InnerMode); err == nil {
+	if _, err := NewBatchHashJoin(ls, rs,
+		[]relation.Attr{relation.A("Z", "z")}, []relation.Attr{relation.A("S", "k")}, nil, InnerMode, 3); err == nil {
 		t.Error("bad left key must fail")
 	}
-	if _, err := NewHashJoin(ls, rs,
-		[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("Z", "z")}, nil, InnerMode); err == nil {
+	if _, err := NewBatchHashJoin(ls, rs,
+		[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("Z", "z")}, nil, InnerMode, 3); err == nil {
 		t.Error("bad right key must fail")
 	}
 }
@@ -266,7 +237,7 @@ func TestNestedLoopJoinAllModes(t *testing.T) {
 		for _, mode := range allModes {
 			ls, _ := scanOf(t, "R", lrel, nil)
 			rs, _ := scanOf(t, "S", rrel, nil)
-			nl, err := NewNestedLoopJoin(ls, rs, p, mode)
+			nl, err := NewBatchNestedLoopJoin(ls, rs, p, mode, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -294,7 +265,7 @@ func TestIndexJoinAllModes(t *testing.T) {
 		}
 		for _, mode := range allModes {
 			ls, _ := scanOf(t, "R", lrel, nil)
-			ij, err := NewIndexJoin(ls, inner, "k", relation.A("R", "k"), nil, mode, nil)
+			ij, err := NewBatchIndexJoin(ls, inner, "k", relation.A("R", "k"), nil, mode, nil, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -324,7 +295,7 @@ func TestIndexJoinCountsRetrievedTuples(t *testing.T) {
 	}
 	var c Counters
 	ls, _ := scanOf(t, "R", outer, &c)
-	ij, err := NewIndexJoin(ls, inner, "k", relation.A("R", "k"), nil, InnerMode, &c)
+	ij, err := NewBatchIndexJoin(ls, inner, "k", relation.A("R", "k"), nil, InnerMode, &c, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,13 +315,13 @@ func TestIndexJoinErrors(t *testing.T) {
 	lrel := randRel(rand.New(rand.NewSource(3)), "R", 3)
 	inner := storage.NewTable("S", randRel(rand.New(rand.NewSource(4)), "S", 3))
 	ls, _ := scanOf(t, "R", lrel, nil)
-	if _, err := NewIndexJoin(ls, inner, "k", relation.A("R", "k"), nil, InnerMode, nil); err == nil {
+	if _, err := NewBatchIndexJoin(ls, inner, "k", relation.A("R", "k"), nil, InnerMode, nil, 3); err == nil {
 		t.Error("missing index must fail")
 	}
 	if _, err := inner.BuildHashIndex("k"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewIndexJoin(ls, inner, "k", relation.A("Z", "z"), nil, InnerMode, nil); err == nil {
+	if _, err := NewBatchIndexJoin(ls, inner, "k", relation.A("Z", "z"), nil, InnerMode, nil, 3); err == nil {
 		t.Error("bad outer key must fail")
 	}
 }
@@ -418,7 +389,7 @@ func TestJoinSchemeOverlapRejected(t *testing.T) {
 	rel := randRel(rand.New(rand.NewSource(7)), "R", 3)
 	s1, _ := scanOf(t, "R", rel, nil)
 	s2, _ := scanOf(t, "R", rel, nil)
-	if _, err := NewNestedLoopJoin(s1, s2, predicate.TruePred, InnerMode); err == nil {
+	if _, err := NewBatchNestedLoopJoin(s1, s2, predicate.TruePred, InnerMode, 3); err == nil {
 		t.Error("overlapping schemes must fail")
 	}
 }

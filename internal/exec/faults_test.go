@@ -3,7 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
-	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,8 +23,7 @@ import (
 //  4. release its buffers (BufferedRows == 0) and its governor charges
 //     after Close, error or not;
 //  5. fail fast with a typed *ResourceError when opened under a
-//     cancelled or deadline-expired context;
-//  6. leak no goroutines (fenced check around ParallelHashJoin).
+//     cancelled or deadline-expired context.
 //
 // The operator inventory lives in registry_test.go (operatorRegistry):
 // every suite below iterates that one registry, so a new operator is
@@ -144,8 +143,8 @@ func TestExpiredDeadline(t *testing.T) {
 	rt, st := contractTables(t)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	hj, err := NewHashJoin(NewScan(rt, nil), NewScan(st, nil),
-		[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")}, nil, InnerMode)
+	hj, err := NewBatchHashJoin(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
+		[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")}, nil, InnerMode, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,64 +167,58 @@ func TestMemoryBudgetTrips(t *testing.T) {
 	sk := relation.A("S", "k")
 	builders := map[string]func(t *testing.T) (Iterator, string){
 		"sort": func(t *testing.T) (Iterator, string) {
-			s, err := NewSort(NewScan(rt, nil), []relation.Attr{rk})
+			s, err := NewSort(NewBatchScan(rt, nil, 0), []relation.Attr{rk})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return s, "sort"
 		},
 		"hashjoin": func(t *testing.T) (Iterator, string) {
-			h, err := NewHashJoin(NewScan(rt, nil), NewScan(st, nil),
-				[]relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode)
+			h, err := NewBatchHashJoin(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
+				[]relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return h, "hashjoin"
 		},
 		"nestedloop": func(t *testing.T) (Iterator, string) {
-			n, err := NewNestedLoopJoin(NewScan(rt, nil), NewScan(st, nil),
-				predicate.Eq(rk, sk), InnerMode)
+			n, err := NewBatchNestedLoopJoin(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
+				predicate.Eq(rk, sk), InnerMode, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return n, "nestedloop"
 		},
 		"mergejoin": func(t *testing.T) (Iterator, string) {
-			m, err := NewMergeJoin(NewScan(rt, nil), NewScan(st, nil), rk, sk, InnerMode)
+			m, err := NewMergeJoin(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0), rk, sk, InnerMode)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return m, "mergejoin"
 		},
 		"goj": func(t *testing.T) (Iterator, string) {
-			g, err := NewHashGOJ(NewScan(rt, nil), NewScan(st, nil),
+			g, err := NewHashGOJ(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
 				[]relation.Attr{rk}, []relation.Attr{sk}, []relation.Attr{rk})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return g, "goj"
 		},
-		"parallel": func(t *testing.T) (Iterator, string) {
-			p, err := NewParallelHashJoin(NewScan(rt, nil), NewScan(st, nil), rk, sk, InnerMode, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p, "parallel"
-		},
 		"semireduce": func(t *testing.T) (Iterator, string) {
-			s, err := NewSemiReduce(NewScan(rt, nil), NewScan(st, nil), predicate.Eq(rk, sk))
+			s, err := NewBatchSemiReduce(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0), predicate.Eq(rk, sk), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return s, "semireduce"
 		},
 		"semireduce-scan": func(t *testing.T) (Iterator, string) {
-			s, err := NewSemiReduce(NewScan(rt, nil), NewScan(st, nil),
-				predicate.Cmp(predicate.LtOp, predicate.Col(rk), predicate.Col(sk)))
+			// A non-equi semijoin runs as the nested-loop join in SemiMode.
+			s, err := NewSemiJoin(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
+				predicate.Cmp(predicate.LtOp, predicate.Col(rk), predicate.Col(sk)), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return s, "semireduce"
+			return s, "nestedloop"
 		},
 	}
 	for name, build := range builders {
@@ -257,9 +250,9 @@ func TestHashJoinGracefulDegradation(t *testing.T) {
 	sk := relation.A("S", "k")
 	for _, mode := range []JoinMode{InnerMode, LeftOuterMode, SemiMode, AntiMode} {
 		t.Run(mode.String(), func(t *testing.T) {
-			mkJoin := func() *HashJoin {
-				h, err := NewHashJoin(NewScan(rt, nil), NewScan(st, nil),
-					[]relation.Attr{rk}, []relation.Attr{sk}, nil, mode)
+			mkJoin := func() *BatchHashJoin {
+				h, err := NewBatchHashJoin(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
+					[]relation.Attr{rk}, []relation.Attr{sk}, nil, mode, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -272,15 +265,15 @@ func TestHashJoinGracefulDegradation(t *testing.T) {
 
 			h := mkJoin()
 			h.SetFallback(func(left Iterator) (Iterator, error) {
-				return NewIndexJoin(left, st, "k", rk, nil, mode, nil)
+				return NewBatchIndexJoin(left, st, "k", rk, nil, mode, nil, 0)
 			})
 			gov := NewGovernor(1, 0) // the 4-row build side cannot fit
 			got, err := CollectCtx(NewExecContext(context.Background(), gov), h, nil)
 			if err != nil {
 				t.Fatalf("degraded run failed: %v", err)
 			}
-			if h.DegradedTo() == nil {
-				t.Fatal("join should have degraded to the index strategy")
+			if !hasEvent(gov, "degraded to index strategy") {
+				t.Fatalf("join should have degraded to the index strategy; events %v", gov.Events())
 			}
 			if !want.EqualBag(got) {
 				t.Errorf("degraded bag differs:\nwant (%d rows):\n%vgot (%d rows):\n%v",
@@ -302,110 +295,31 @@ func TestHashJoinFallbackNotTakenWithoutTrip(t *testing.T) {
 	rt, st := contractTables(t)
 	rk := relation.A("R", "k")
 	sk := relation.A("S", "k")
-	h, err := NewHashJoin(NewScan(rt, nil), NewScan(st, nil),
-		[]relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode)
+	h, err := NewBatchHashJoin(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
+		[]relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.SetFallback(func(left Iterator) (Iterator, error) {
-		return NewIndexJoin(left, st, "k", rk, nil, InnerMode, nil)
+		return NewBatchIndexJoin(left, st, "k", rk, nil, InnerMode, nil, 0)
 	})
 	gov := NewGovernor(1000, 0)
 	if _, err := CollectCtx(NewExecContext(context.Background(), gov), h, nil); err != nil {
 		t.Fatal(err)
 	}
-	if h.DegradedTo() != nil {
+	if hasEvent(gov, "degraded to index strategy") {
 		t.Error("fallback must not engage within budget")
 	}
 }
 
-// TestParallelWorkerErrorDeterministic: a governor trip inside the
-// worker pool must cancel the remaining workers, surface a typed error,
-// and leave nothing reserved — repeatably.
-func TestParallelWorkerErrorDeterministic(t *testing.T) {
-	// Large enough inputs that output charging inside workers trips after
-	// the input charge is admitted.
-	rrel := relation.New(relation.SchemeOf("R", "k"))
-	srel := relation.New(relation.SchemeOf("S", "k"))
-	for i := 0; i < 200; i++ {
-		rrel.AppendRaw([]relation.Value{relation.Int(int64(i % 20))})
-		srel.AppendRaw([]relation.Value{relation.Int(int64(i % 20))})
-	}
-	rt := storage.NewTable("R", rrel)
-	st := storage.NewTable("S", srel)
-	var kinds []Kind
-	for run := 0; run < 3; run++ {
-		p, err := NewParallelHashJoin(NewScan(rt, nil), NewScan(st, nil),
-			relation.A("R", "k"), relation.A("S", "k"), InnerMode, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gov := NewGovernor(450, 0) // inputs fit (400), the 2000-row output cannot
-		cerr := runCycle(p, NewExecContext(context.Background(), gov))
-		var re *ResourceError
-		if !errors.As(cerr, &re) {
-			t.Fatalf("run %d: want ResourceError, got %v", run, cerr)
-		}
-		kinds = append(kinds, re.Kind)
-		if gov.UsedRows() != 0 {
-			t.Fatalf("run %d: governor holds %d rows", run, gov.UsedRows())
+// hasEvent reports whether any governor event contains substr.
+func hasEvent(gov *Governor, substr string) bool {
+	for _, ev := range gov.Events() {
+		if strings.Contains(ev, substr) {
+			return true
 		}
 	}
-	for _, k := range kinds {
-		if k != MemoryExceeded {
-			t.Errorf("kinds across runs = %v, want all MemoryExceeded", kinds)
-		}
-	}
-}
-
-// TestParallelHashJoinNoGoroutineLeak fences runtime.NumGoroutine around
-// repeated parallel joins under faults, cancellation, and budget trips:
-// the worker pool must always drain.
-func TestParallelHashJoinNoGoroutineLeak(t *testing.T) {
-	rt, st := contractTables(t)
-	rk := relation.A("R", "k")
-	sk := relation.A("S", "k")
-	runtime.GC()
-	before := runtime.NumGoroutine()
-
-	for i := 0; i < 20; i++ {
-		// Mid-stream child fault.
-		lf := storage.NewFaultTable(rt, storage.Fault{FailNext: true, FailAfter: 1}).Iterator()
-		p, err := NewParallelHashJoin(lf, NewScan(st, nil), rk, sk, InnerMode, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runCycle(p, nil)
-
-		// Budget trip inside the pool.
-		p2, err := NewParallelHashJoin(NewScan(rt, nil), NewScan(st, nil), rk, sk, InnerMode, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runCycle(p2, NewExecContext(context.Background(), NewGovernor(6, 0)))
-
-		// Cancellation racing the workers.
-		ctx, cancel := context.WithCancel(context.Background())
-		p3, err := NewParallelHashJoin(NewScan(rt, nil), NewScan(st, nil), rk, sk, InnerMode, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		go cancel()
-		runCycle(p3, NewExecContext(ctx, nil))
-		cancel()
-	}
-
-	// Workers exit synchronously before Open returns (wg.Wait), but give
-	// the runtime a moment to reap anything in flight.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		runtime.GC()
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Errorf("goroutines: before=%d after=%d", before, runtime.NumGoroutine())
+	return false
 }
 
 // TestCollectClosesOnError: Collect must close the iterator on a

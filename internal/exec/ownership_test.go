@@ -11,11 +11,15 @@ import (
 // The row-ownership contract, exercised to its legal extremes across
 // the whole operator registry:
 //
-//   - A producer's row is valid only until the caller's next
-//     Next/Close on that producer. poisonIterator scribbles over every
-//     row it handed out the moment the caller advances, so a parent
-//     that retained the row by reference instead of copying surfaces
-//     the sentinel in its output bag.
+//   - A producer's row (or batch) is valid only until the caller's next
+//     Next/NextBatch/Close on that producer. poisonIterator scribbles
+//     over every row and batch it handed out the moment the caller
+//     advances, so a parent that retained one by reference instead of
+//     copying surfaces the sentinel in its output bag. A scribbled
+//     batch is also refilled to full length — even by the call that
+//     reports end of stream — the way a filter compacting in place
+//     leaves the batch object, so a consumer that keeps probing a batch
+//     it no longer owns reads sentinel rows past its old cursor.
 //   - A caller MAY mutate a row it was handed (filters compact in
 //     place). drainScribbled overwrites every received row after
 //     copying it, so a producer that re-reads rows it already emitted
@@ -23,19 +27,27 @@ import (
 
 const poisonMark = "__POISON__"
 
-// poisonIterator wraps a child and scribbles over the row it handed out
-// as soon as the caller advances or closes. The child's own row is
-// copied first (scribbling the child's storage directly would corrupt
-// the base table, not test the parent).
+// poisonBatchSize is the poisoned producer's batch size: the 5-row
+// contract input then ends on a short batch, which the refill lengthens.
+const poisonBatchSize = 2
+
+// poisonIterator wraps a child and scribbles over the row or batch it
+// handed out as soon as the caller advances or closes. The child's own
+// rows are copied first (scribbling the child's storage directly would
+// corrupt the base table, not test the parent).
 type poisonIterator struct {
-	child Iterator
-	last  []relation.Value
+	child  Iterator
+	last   []relation.Value
+	bchild BatchIterator
+	out    *Batch // the batch handed out, owned by the poisoner
+	handed bool
 }
 
 func (p *poisonIterator) Scheme() *relation.Scheme { return p.child.Scheme() }
 
 func (p *poisonIterator) Open(ec *ExecContext) error {
-	p.last = nil
+	p.last, p.handed = nil, false
+	p.bchild = Batching(p.child, poisonBatchSize)
 	return p.child.Open(ec)
 }
 
@@ -44,6 +56,34 @@ func (p *poisonIterator) scribble() {
 		p.last[i] = relation.Str(poisonMark)
 	}
 	p.last = nil
+	if p.handed {
+		row := make([]relation.Value, p.out.Width())
+		for i := range row {
+			row[i] = relation.Str(poisonMark)
+		}
+		p.out.Reset()
+		for !p.out.Full() {
+			p.out.AppendRow(row)
+		}
+		p.handed = false
+	}
+}
+
+func (p *poisonIterator) NextBatch() (*Batch, bool, error) {
+	p.scribble()
+	b, ok, err := p.bchild.NextBatch()
+	if err != nil || !ok {
+		return nil, ok, err
+	}
+	if p.out == nil {
+		p.out = NewBatch(p.Scheme(), poisonBatchSize)
+	}
+	p.out.Reset()
+	for i := 0; i < b.Len(); i++ {
+		p.out.AppendRow(b.Row(i))
+	}
+	p.handed = true
+	return p.out, true, nil
 }
 
 func (p *poisonIterator) Next() ([]relation.Value, bool, error) {

@@ -42,30 +42,18 @@ func operatorRegistry(t *testing.T, rt, st *storage.Table, c *Counters) map[stri
 		}
 		return it
 	}
+	// Each operator registers at the default batch size under its
+	// algorithm's name, and under a "batch" name at a tiny batch size
+	// that forces multiple refills (and suspended emission) over the
+	// 5-row inputs.
+	const bsz = 2
 	cases := map[string]opCase{
-		"scan":         {0, func(t *testing.T, ch []Iterator) Iterator { return NewScan(rt, c) }},
 		"relationscan": {0, func(t *testing.T, ch []Iterator) Iterator { return NewRelationScan(rt.Relation()) }},
 		"indexscan": {0, func(t *testing.T, ch []Iterator) Iterator {
 			return must(NewIndexScan(st, "k", relation.Int(2), c))
 		}},
-		"filter": {1, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewFilter(ch[0],
-				predicate.Cmp(predicate.GtOp, predicate.Col(rk), predicate.Const(relation.Int(1)))))
-		}},
-		"project": {1, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewProject(ch[0], []relation.Attr{rk}, false))
-		}},
-		"project-dedup": {1, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewProject(ch[0], []relation.Attr{rk}, true))
-		}},
 		"sort": {1, func(t *testing.T, ch []Iterator) Iterator {
 			return must(NewSort(ch[0], []relation.Attr{rk}))
-		}},
-		"nestedloop": {2, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewNestedLoopJoin(ch[0], ch[1], key, InnerMode))
-		}},
-		"indexjoin": {1, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewIndexJoin(ch[0], st, "k", rk, nil, InnerMode, c))
 		}},
 		"mergejoin": {2, func(t *testing.T, ch []Iterator) Iterator {
 			// Merge join consumes sorted inputs; the sorts ride along so
@@ -74,21 +62,15 @@ func operatorRegistry(t *testing.T, rt, st *storage.Table, c *Counters) map[stri
 				must(NewSort(ch[0], []relation.Attr{rk})),
 				must(NewSort(ch[1], []relation.Attr{sk})), rk, sk, InnerMode))
 		}},
-		"parallelhashjoin": {2, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewParallelHashJoin(ch[0], ch[1], rk, sk, InnerMode, 3))
-		}},
 		"hashgoj": {2, func(t *testing.T, ch []Iterator) Iterator {
 			return must(NewHashGOJ(ch[0], ch[1],
 				[]relation.Attr{rk}, []relation.Attr{sk}, []relation.Attr{rk, relation.A("R", "v")}))
 		}},
-		"semireduce": {2, func(t *testing.T, ch []Iterator) Iterator {
-			// Pure equi predicate: the hash-filter fast path.
-			return must(NewSemiReduce(ch[0], ch[1], key))
-		}},
 		"semireduce-scan": {2, func(t *testing.T, ch []Iterator) Iterator {
-			// Non-equi predicate: the materialize-and-scan path.
-			return must(NewSemiReduce(ch[0], ch[1],
-				predicate.Cmp(predicate.LtOp, predicate.Col(rk), predicate.Col(sk))))
+			// A non-equi semijoin lowers to the counted nested-loop join
+			// in SemiMode.
+			return must(NewSemiJoin(ch[0], ch[1],
+				predicate.Cmp(predicate.LtOp, predicate.Col(rk), predicate.Col(sk)), 0))
 		}},
 		"instrumented": {1, func(t *testing.T, ch []Iterator) Iterator {
 			return Instrument(ch[0], "probe", c)
@@ -97,55 +79,31 @@ func operatorRegistry(t *testing.T, rt, st *storage.Table, c *Counters) map[stri
 			return storage.NewFaultIterator(ch[0], storage.Fault{})
 		}},
 	}
-	for name, mode := range map[string]JoinMode{
-		"hashjoin": InnerMode, "hashjoin-outer": LeftOuterMode, "hashjoin-semi": SemiMode, "hashjoin-anti": AntiMode,
-	} {
-		mode := mode
-		cases[name] = opCase{2, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewHashJoin(ch[0], ch[1], []relation.Attr{rk}, []relation.Attr{sk}, nil, mode))
+	for prefix, size := range map[string]int{"": 0, "batch": bsz} {
+		size := size
+		cases[prefix+"scan"] = opCase{0, func(t *testing.T, ch []Iterator) Iterator { return NewBatchScan(rt, c, size) }}
+		cases[prefix+"filter"] = opCase{1, func(t *testing.T, ch []Iterator) Iterator {
+			return must(NewBatchFilter(ch[0],
+				predicate.Cmp(predicate.GtOp, predicate.Col(rk), predicate.Const(relation.Int(1))), size))
 		}}
-	}
-	// The batch evaluators run through the same contract/fault/ownership
-	// suites via their Iterator side (Next over the batch cursor). A tiny
-	// batch size forces multiple refills over the 5-row inputs.
-	const bsz = 2
-	cases["batchscan"] = opCase{0, func(t *testing.T, ch []Iterator) Iterator { return NewBatchScan(rt, c, bsz) }}
-	cases["batchrelationscan"] = opCase{0, func(t *testing.T, ch []Iterator) Iterator {
-		return NewBatchRelationScan(rt.Relation(), bsz)
-	}}
-	cases["batchfilter"] = opCase{1, func(t *testing.T, ch []Iterator) Iterator {
-		return must(NewBatchFilter(ch[0],
-			predicate.Cmp(predicate.GtOp, predicate.Col(rk), predicate.Const(relation.Int(1))), bsz))
-	}}
-	cases["batchproject"] = opCase{1, func(t *testing.T, ch []Iterator) Iterator {
-		return must(NewBatchProject(ch[0], []relation.Attr{rk}, false, bsz))
-	}}
-	cases["batchproject-dedup"] = opCase{1, func(t *testing.T, ch []Iterator) Iterator {
-		return must(NewBatchProject(ch[0], []relation.Attr{rk}, true, bsz))
-	}}
-	cases["batchsemireduce"] = opCase{2, func(t *testing.T, ch []Iterator) Iterator {
-		return must(NewBatchSemiReduce(ch[0], ch[1], key, bsz))
-	}}
-	cases["batchindexjoin"] = opCase{1, func(t *testing.T, ch []Iterator) Iterator {
-		return must(NewBatchIndexJoin(ch[0], st, "k", rk, nil, InnerMode, c, bsz))
-	}}
-	for name, mode := range map[string]JoinMode{
-		"batchhashjoin": InnerMode, "batchhashjoin-outer": LeftOuterMode,
-		"batchhashjoin-semi": SemiMode, "batchhashjoin-anti": AntiMode,
-	} {
-		mode := mode
-		cases[name] = opCase{2, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewBatchHashJoin(ch[0], ch[1], []relation.Attr{rk}, []relation.Attr{sk}, nil, mode, bsz))
+		cases[prefix+"semireduce"] = opCase{2, func(t *testing.T, ch []Iterator) Iterator {
+			// Pure equi predicate: the hash-filter path.
+			return must(NewBatchSemiReduce(ch[0], ch[1], key, size))
 		}}
-	}
-	for name, mode := range map[string]JoinMode{
-		"batchnestedloop": InnerMode, "batchnestedloop-outer": LeftOuterMode,
-		"batchnestedloop-semi": SemiMode, "batchnestedloop-anti": AntiMode,
-	} {
-		mode := mode
-		cases[name] = opCase{2, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewBatchNestedLoopJoin(ch[0], ch[1], key, mode, bsz))
+		cases[prefix+"indexjoin"] = opCase{1, func(t *testing.T, ch []Iterator) Iterator {
+			return must(NewBatchIndexJoin(ch[0], st, "k", rk, nil, InnerMode, c, size))
 		}}
+		for suffix, mode := range map[string]JoinMode{
+			"": InnerMode, "-outer": LeftOuterMode, "-semi": SemiMode, "-anti": AntiMode,
+		} {
+			mode := mode
+			cases[prefix+"hashjoin"+suffix] = opCase{2, func(t *testing.T, ch []Iterator) Iterator {
+				return must(NewBatchHashJoin(ch[0], ch[1], []relation.Attr{rk}, []relation.Attr{sk}, nil, mode, size))
+			}}
+			cases[prefix+"nestedloop"+suffix] = opCase{2, func(t *testing.T, ch []Iterator) Iterator {
+				return must(NewBatchNestedLoopJoin(ch[0], ch[1], key, mode, size))
+			}}
+		}
 	}
 	return cases
 }

@@ -10,22 +10,27 @@ import (
 	"freejoin/internal/storage"
 )
 
-// SemiReduce-specific behavior on top of the generic registry suites:
-// the hash-filter vs. scan path split, bag equality against the
-// nested-loop semijoin oracle, spill-mode equivalence, and the
-// reduction-ratio accounting the Yannakakis observability rides on.
+// Semijoin-specific behavior on top of the generic registry suites:
+// the hash-filter vs. nested-loop split of the lowering, bag equality
+// against the algebra semijoin, spill-mode equivalence (including the
+// in-memory key pre-check a spilled filter keeps), and the reduction
+// counters the Yannakakis observability rides on.
 
-func semiOracle(t *testing.T, rt, st *storage.Table, p predicate.Predicate) *relation.Relation {
+// newSemi lowers a semijoin step the way the optimizer does
+// (NewSemiJoin): a pure equi predicate gets the hash filter, anything
+// else the nested-loop join in SemiMode.
+func newSemi(t *testing.T, rt, st *storage.Table, p predicate.Predicate, size int) Iterator {
 	t.Helper()
-	nl, err := NewNestedLoopJoin(NewScan(rt, nil), NewScan(st, nil), p, SemiMode)
+	it, err := NewSemiJoin(NewBatchScan(rt, nil, size), NewBatchScan(st, nil, size), p, size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Collect(nl, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ref
+	return it
+}
+
+func isNestedLoop(it Iterator) bool {
+	_, ok := it.(*BatchNestedLoopJoin)
+	return ok
 }
 
 func TestSemiReducePathsMatchOracle(t *testing.T) {
@@ -38,23 +43,25 @@ func TestSemiReducePathsMatchOracle(t *testing.T) {
 	}
 	for name, p := range preds {
 		t.Run(name, func(t *testing.T) {
-			ref := semiOracle(t, rt, st, p)
-			s, err := NewSemiReduce(NewScan(rt, nil), NewScan(st, nil), p)
-			if err != nil {
-				t.Fatal(err)
+			ref := refFor(t, SemiMode, rt.Relation(), st.Relation(), p)
+			s := newSemi(t, rt, st, p, 0)
+			_, isFilter := s.(*BatchSemiReduce)
+			if wantFilter := name == "equi"; isFilter != wantFilter {
+				t.Fatalf("hash filter = %v, want %v", isFilter, wantFilter)
 			}
-			if wantEqui := name == "equi"; s.Equi() != wantEqui {
-				t.Fatalf("Equi() = %v, want %v", s.Equi(), wantEqui)
+			if rc, ok := s.(*rowCounter); !isFilter && (!ok || !isNestedLoop(rc.src)) {
+				t.Fatalf("non-equi step lowered to %T, want a counted nested-loop join", s)
 			}
+			in0, out0 := obs.SemiReduceInputRows.Value(), obs.SemiReduceOutputRows.Value()
 			got, err := Collect(s, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !ref.EqualBag(got) {
-				t.Fatalf("semireduce bag differs from semijoin oracle: want %d rows, got %d",
+				t.Fatalf("semijoin bag differs from the algebra: want %d rows, got %d",
 					ref.Len(), got.Len())
 			}
-			in, out := s.ReduceStats()
+			in, out := obs.SemiReduceInputRows.Value()-in0, obs.SemiReduceOutputRows.Value()-out0
 			if in != int64(rt.Relation().Len()) {
 				t.Errorf("rows in = %d, want %d", in, rt.Relation().Len())
 			}
@@ -68,9 +75,11 @@ func TestSemiReducePathsMatchOracle(t *testing.T) {
 	}
 }
 
-// TestSemiReduceSpill forces the budget trip in both modes: the bag must
-// match the unbudgeted run, the operator must report its run, and the
-// governor and spill dir must drain.
+// TestSemiReduceSpill forces the budget trip in both lowerings: the bag
+// must match the algebra, the operator must report its run, and the
+// governor and spill dir must drain. The small-batch cases trip after
+// some keys are already in memory, so the spilled filter also answers
+// from its pre-check.
 func TestSemiReduceSpill(t *testing.T) {
 	rt, st := spillTables(t, 300, 200)
 	rk := relation.A("R", "k")
@@ -80,27 +89,26 @@ func TestSemiReduceSpill(t *testing.T) {
 		"non-equi": predicate.Cmp(predicate.LtOp, predicate.Col(rk), predicate.Col(sk)),
 	} {
 		t.Run(name, func(t *testing.T) {
-			ref := semiOracle(t, rt, st, p)
-			s, err := NewSemiReduce(NewScan(rt, nil), NewScan(st, nil), p)
-			if err != nil {
-				t.Fatal(err)
+			ref := refFor(t, SemiMode, rt.Relation(), st.Relation(), p)
+			for _, sz := range []struct{ size, budget int }{{0, 96}, {2, 400}} {
+				s := newSemi(t, rt, st, p, sz.size)
+				runs0 := obs.SpillRuns.Value()
+				ec, gov, dir := spillCtx(t, int64(sz.budget))
+				got, err := CollectCtx(ec, s, nil)
+				if err != nil {
+					t.Fatalf("size %d: spilled run failed: %v", sz.size, err)
+				}
+				if !ref.EqualBag(got) {
+					t.Fatalf("size %d: spilled bag differs: want %d rows, got %d", sz.size, ref.Len(), got.Len())
+				}
+				if st := spillInfo(t, s); !st.Spilled() || st.Runs == 0 {
+					t.Errorf("size %d: expected a recorded spill run, got %+v", sz.size, st)
+				}
+				if obs.SpillRuns.Value() == runs0 {
+					t.Errorf("size %d: oj_spill_runs_total did not move", sz.size)
+				}
+				checkSpillDrained(t, gov, dir)
 			}
-			runs0 := obs.SpillRuns.Value()
-			ec, gov, dir := spillCtx(t, 96)
-			got, err := CollectCtx(ec, s, nil)
-			if err != nil {
-				t.Fatalf("spilled run failed: %v", err)
-			}
-			if !ref.EqualBag(got) {
-				t.Fatalf("spilled bag differs: want %d rows, got %d", ref.Len(), got.Len())
-			}
-			if st := s.SpillInfo(); !st.Spilled() || st.Runs == 0 {
-				t.Errorf("expected a recorded spill run, got %+v", st)
-			}
-			if obs.SpillRuns.Value() == runs0 {
-				t.Error("oj_spill_runs_total did not move")
-			}
-			checkSpillDrained(t, gov, dir)
 		})
 	}
 }
@@ -112,8 +120,8 @@ func TestSemiReduceNullKeys(t *testing.T) {
 	r := relation.FromRows("R", []string{"k"}, []any{1}, []any{nil}, []any{2})
 	s := relation.FromRows("S", []string{"k"}, []any{nil}, []any{2})
 	rt, st := storage.NewTable("R", r), storage.NewTable("S", s)
-	sr, err := NewSemiReduce(NewScan(rt, nil), NewScan(st, nil),
-		predicate.Eq(relation.A("R", "k"), relation.A("S", "k")))
+	sr, err := NewBatchSemiReduce(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
+		predicate.Eq(relation.A("R", "k"), relation.A("S", "k")), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +139,8 @@ func TestSemiReduceNullKeys(t *testing.T) {
 func TestSemiReduceObsCounters(t *testing.T) {
 	rt, st := contractTables(t)
 	in0, out0 := obs.SemiReduceInputRows.Value(), obs.SemiReduceOutputRows.Value()
-	s, err := NewSemiReduce(NewScan(rt, nil), NewScan(st, nil),
-		predicate.Eq(relation.A("R", "k"), relation.A("S", "k")))
+	s, err := NewBatchSemiReduce(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
+		predicate.Eq(relation.A("R", "k"), relation.A("S", "k")), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,8 +165,8 @@ func TestSpanTreeNil(t *testing.T) {
 	}
 }
 
-// TestConcurrentCountersScrape runs instrumented parallel hash joins
-// while other goroutines continuously read the shared Counters and
+// TestConcurrentCountersScrape runs instrumented hash joins while other
+// goroutines continuously read the shared Counters and
 // scrape the process metrics registry — the race detector (make race /
 // the CI metrics job) verifies the atomic counter rewrite actually
 // makes cross-goroutine scraping safe.
@@ -211,14 +211,14 @@ func TestConcurrentCountersScrape(t *testing.T) {
 	}()
 
 	for run := 0; run < 5; run++ {
-		p, err := NewParallelHashJoin(
-			Instrument(NewScan(rt, &c), "scan R", &c),
-			Instrument(NewScan(st, &c), "scan S", &c),
-			relation.A("R", "k"), relation.A("S", "k"), InnerMode, 4)
+		p, err := NewBatchHashJoin(
+			Instrument(NewBatchScan(rt, &c, 0), "scan R", &c),
+			Instrument(NewBatchScan(st, &c, 0), "scan S", &c),
+			[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")}, nil, InnerMode, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		root := Instrument(p, "parallel join", &c)
+		root := Instrument(p, "join", &c)
 		if _, err := CollectCtx(NewExecContext(context.Background(), nil), root, &c); err != nil {
 			t.Fatal(err)
 		}

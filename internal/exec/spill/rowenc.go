@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"freejoin/internal/relation"
 )
@@ -56,21 +57,24 @@ func appendRow(b []byte, row []relation.Value) []byte {
 	return b
 }
 
-// readRow decodes one row from br, returning (nil, nil) at a clean end
-// of stream and an error on a truncated or corrupt run.
-func readRow(br *bufio.Reader) ([]relation.Value, error) {
+// readRow decodes one row from br and appends its values to dst,
+// reporting false at a clean end of stream and an error on a truncated
+// or corrupt run.
+func readRow(br *bufio.Reader, dst []relation.Value) ([]relation.Value, bool, error) {
 	arity, err := binary.ReadUvarint(br)
 	if err != nil {
 		if err == io.EOF {
-			return nil, nil
+			return dst, false, nil
 		}
-		return nil, fmt.Errorf("spill: corrupt run: %w", err)
+		return dst, false, fmt.Errorf("spill: corrupt run: %w", err)
 	}
-	row := make([]relation.Value, arity)
+	base := len(dst)
+	dst = slices.Grow(dst, int(arity))[:base+int(arity)]
+	row := dst[base:]
 	for i := range row {
 		tag, err := br.ReadByte()
 		if err != nil {
-			return nil, truncated(err)
+			return dst[:base], false, truncated(err)
 		}
 		switch tag {
 		case tagNull:
@@ -82,30 +86,30 @@ func readRow(br *bufio.Reader) ([]relation.Value, error) {
 		case tagInt:
 			n, err := binary.ReadVarint(br)
 			if err != nil {
-				return nil, truncated(err)
+				return dst[:base], false, truncated(err)
 			}
 			row[i] = relation.Int(n)
 		case tagFloat:
 			var buf [8]byte
 			if _, err := io.ReadFull(br, buf[:]); err != nil {
-				return nil, truncated(err)
+				return dst[:base], false, truncated(err)
 			}
 			row[i] = relation.Float(math.Float64frombits(binary.BigEndian.Uint64(buf[:])))
 		case tagStr:
 			n, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, truncated(err)
+				return dst[:base], false, truncated(err)
 			}
 			buf := make([]byte, n)
 			if _, err := io.ReadFull(br, buf); err != nil {
-				return nil, truncated(err)
+				return dst[:base], false, truncated(err)
 			}
 			row[i] = relation.Str(string(buf))
 		default:
-			return nil, fmt.Errorf("spill: corrupt run: unknown value tag %q", tag)
+			return dst[:base], false, fmt.Errorf("spill: corrupt run: unknown value tag %q", tag)
 		}
 	}
-	return row, nil
+	return dst, true, nil
 }
 
 func truncated(err error) error {

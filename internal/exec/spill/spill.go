@@ -153,16 +153,12 @@ type Reader struct {
 	br *bufio.Reader
 }
 
-// Next returns the next row, or false at end of run.
-func (r *Reader) Next() ([]relation.Value, bool, error) {
-	row, err := readRow(r.br)
-	if err != nil {
-		return nil, false, err
-	}
-	if row == nil {
-		return nil, false, nil
-	}
-	return row, true, nil
+// Next decodes the next row and appends its values to dst, returning
+// the extended slice (the row is its tail), or false at end of run.
+// Callers that buffer many rows pass their arena and so allocate no
+// per-row slice; a nil dst yields a freshly allocated row.
+func (r *Reader) Next(dst []relation.Value) ([]relation.Value, bool, error) {
+	return readRow(r.br, dst)
 }
 
 // Close releases the underlying file handle. Idempotent.

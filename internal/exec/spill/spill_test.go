@@ -82,7 +82,7 @@ func TestRunRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, wrow := range want {
-			row, ok, err := rd.Next()
+			row, ok, err := rd.Next(nil)
 			if err != nil || !ok {
 				t.Fatalf("scan %d row %d: ok=%v err=%v", scan, i, ok, err)
 			}
@@ -96,11 +96,40 @@ func TestRunRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		if _, ok, err := rd.Next(); ok || err != nil {
+		if _, ok, err := rd.Next(nil); ok || err != nil {
 			t.Fatalf("scan %d: expected clean EOF, ok=%v err=%v", scan, ok, err)
 		}
 		if err := rd.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+	// A caller buffer is appended to: one scan decodes every row end to
+	// end into a single slab, the way a hash join loads its arena.
+	rd, err := run.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flat, slab []relation.Value
+	for _, row := range want {
+		flat = append(flat, row...)
+	}
+	for {
+		next, ok, err := rd.Next(slab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		slab = next
+	}
+	rd.Close()
+	if len(slab) != len(flat) {
+		t.Fatalf("appending scan decoded %d values, want %d", len(slab), len(flat))
+	}
+	for i := range flat {
+		if !identical(slab[i], flat[i]) {
+			t.Fatalf("appending scan value %d: %v, want %v", i, slab[i], flat[i])
 		}
 	}
 	run.Drop(ec)
@@ -198,7 +227,7 @@ func TestSpillFileLifecycle(t *testing.T) {
 	if len(files()) != 0 {
 		t.Fatalf("expected no run files after Drop, got %v", files())
 	}
-	if _, ok, err := rd.Next(); !ok || err != nil {
+	if _, ok, err := rd.Next(nil); !ok || err != nil {
 		t.Fatalf("read after Drop: ok=%v err=%v", ok, err)
 	}
 	rd.Close()
@@ -241,7 +270,7 @@ func TestTruncatedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rd.Close()
-	if _, ok, err := rd.Next(); err == nil {
+	if _, ok, err := rd.Next(nil); err == nil {
 		t.Fatalf("truncated run read: ok=%v, want error", ok)
 	}
 	run.Drop(ec)
@@ -268,7 +297,7 @@ func TestWriterCreatesMissingDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := rd.Next(); err != nil || !ok {
+	if _, ok, err := rd.Next(nil); err != nil || !ok {
 		t.Fatalf("Next: ok=%v err=%v", ok, err)
 	}
 	rd.Close()

@@ -86,10 +86,11 @@ func spillInfo(t *testing.T, it Iterator) SpillStats {
 }
 
 func TestExternalSortSpill(t *testing.T) {
+	const size = 0
 	rt, _ := spillTables(t, 1000, 0)
 	by := []relation.Attr{relation.A("R", "k")}
 	mk := func() *Sort {
-		s, err := NewSort(NewScan(rt, nil), by)
+		s, err := NewSort(NewBatchScan(rt, nil, size), by)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,49 +139,49 @@ func TestExternalSortSpill(t *testing.T) {
 
 func TestGraceHashJoinSpill(t *testing.T) {
 	rt, st := spillTables(t, 300, 300)
-	rk := relation.A("R", "k")
-	sk := relation.A("S", "k")
 	for _, mode := range []JoinMode{InnerMode, LeftOuterMode, SemiMode, AntiMode} {
 		t.Run(mode.String(), func(t *testing.T) {
-			mk := func() *HashJoin {
-				h, err := NewHashJoin(NewScan(rt, nil), NewScan(st, nil),
-					[]relation.Attr{rk}, []relation.Attr{sk}, nil, mode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return h
-			}
-			want, err := Collect(mk(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			ec, gov, dir := spillCtx(t, 600)
-			h := mk()
-			got, err := CollectCtx(ec, h, nil)
-			if err != nil {
-				t.Fatalf("grace hash join failed: %v", err)
-			}
-			if !want.EqualBag(got) {
-				t.Errorf("grace bag differs: want %d rows, got %d\nwant:\n%vgot:\n%v",
-					want.Len(), got.Len(), want, got)
-			}
-			sp := h.SpillInfo()
-			if !sp.Spilled() || sp.Partitions == 0 {
-				t.Errorf("grace join should report runs and partitions, got %+v", sp)
-			}
-			checkSpillDrained(t, gov, dir)
-
-			found := false
-			for _, ev := range gov.Events() {
-				if ev != "" {
-					found = true
-				}
-			}
-			if !found {
-				t.Error("grace degradation should be noted as a governor event")
+			// A small batch size trips with rows already in the arena; the
+			// default one trips on the first build batch.
+			for _, size := range []int{0, 16} {
+				graceCase(t, rt, st, mode, size)
 			}
 		})
+	}
+}
+
+func graceCase(t *testing.T, rt, st *storage.Table, mode JoinMode, size int) {
+	t.Helper()
+	rk := relation.A("R", "k")
+	sk := relation.A("S", "k")
+	mk := func() *BatchHashJoin {
+		h, err := NewBatchHashJoin(NewBatchScan(rt, nil, size), NewBatchScan(st, nil, size),
+			[]relation.Attr{rk}, []relation.Attr{sk}, nil, mode, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	want := refFor(t, mode, rt.Relation(), st.Relation(), predicate.Eq(rk, sk))
+
+	ec, gov, dir := spillCtx(t, 600)
+	h := mk()
+	got, err := CollectCtx(ec, h, nil)
+	if err != nil {
+		t.Fatalf("grace hash join failed: %v", err)
+	}
+	if !want.EqualBag(got) {
+		t.Errorf("grace bag differs: want %d rows, got %d\nwant:\n%vgot:\n%v",
+			want.Len(), got.Len(), want, got)
+	}
+	sp := h.SpillInfo()
+	if !sp.Spilled() || sp.Partitions == 0 {
+		t.Errorf("grace join should report runs and partitions, got %+v", sp)
+	}
+	checkSpillDrained(t, gov, dir)
+
+	if !hasEvent(gov, "grace hash join spilling") {
+		t.Error("grace degradation should be noted as a governor event")
 	}
 }
 
@@ -194,23 +195,23 @@ func TestGraceHashJoinSkew(t *testing.T) {
 		r.AppendRaw([]relation.Value{relation.Int(7), relation.Int(int64(i))})
 		s.AppendRaw([]relation.Value{relation.Int(7), relation.Int(int64(i * 2))})
 	}
+	// A null-key probe row exercises the outer/anti null-key pair.
+	r.AppendRaw([]relation.Value{relation.Null(), relation.Int(-1)})
 	rt, st := storage.NewTable("R", r), storage.NewTable("S", s)
 	rk := relation.A("R", "k")
 	sk := relation.A("S", "k")
-	for _, mode := range []JoinMode{InnerMode, SemiMode} {
+	for _, mode := range []JoinMode{InnerMode, LeftOuterMode, SemiMode, AntiMode} {
 		t.Run(mode.String(), func(t *testing.T) {
-			mk := func() *HashJoin {
-				h, err := NewHashJoin(NewScan(rt, nil), NewScan(st, nil),
-					[]relation.Attr{rk}, []relation.Attr{sk}, nil, mode)
+			const size = 8
+			mk := func() *BatchHashJoin {
+				h, err := NewBatchHashJoin(NewBatchScan(rt, nil, size), NewBatchScan(st, nil, size),
+					[]relation.Attr{rk}, []relation.Attr{sk}, nil, mode, size)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return h
 			}
-			want, err := Collect(mk(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := refFor(t, mode, r, s, predicate.Eq(rk, sk))
 			ec, gov, dir := spillCtx(t, 400)
 			h := mk()
 			got, err := CollectCtx(ec, h, nil)
@@ -219,6 +220,9 @@ func TestGraceHashJoinSkew(t *testing.T) {
 			}
 			if !want.EqualBag(got) {
 				t.Errorf("skewed grace bag differs: want %d rows, got %d", want.Len(), got.Len())
+			}
+			if !hasEvent(gov, "block-nested streaming") {
+				t.Errorf("skewed partition should bottom out in the run scan; events %v", gov.Events())
 			}
 			checkSpillDrained(t, gov, dir)
 		})
@@ -230,35 +234,40 @@ func TestNestedLoopJoinSpill(t *testing.T) {
 	pred := predicate.Eq(relation.A("R", "k"), relation.A("S", "k"))
 	for _, mode := range []JoinMode{InnerMode, LeftOuterMode, SemiMode, AntiMode} {
 		t.Run(mode.String(), func(t *testing.T) {
-			mk := func() *NestedLoopJoin {
-				n, err := NewNestedLoopJoin(NewScan(rt, nil), NewScan(st, nil), pred, mode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return n
+			for _, size := range []int{0, 16} {
+				nestedLoopSpillCase(t, rt, st, pred, mode, size)
 			}
-			want, err := Collect(mk(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ec, gov, dir := spillCtx(t, 500)
-			n := mk()
-			got, err := CollectCtx(ec, n, nil)
-			if err != nil {
-				t.Fatalf("spilled nested loop failed: %v", err)
-			}
-			if !want.EqualBag(got) {
-				t.Errorf("spilled NL bag differs: want %d rows, got %d", want.Len(), got.Len())
-			}
-			if sp := n.SpillInfo(); !sp.Spilled() {
-				t.Errorf("nested loop should report its spilled inner run, got %+v", sp)
-			}
-			checkSpillDrained(t, gov, dir)
 		})
 	}
 }
 
+func nestedLoopSpillCase(t *testing.T, rt, st *storage.Table, pred predicate.Predicate, mode JoinMode, size int) {
+	t.Helper()
+	mk := func() *BatchNestedLoopJoin {
+		n, err := NewBatchNestedLoopJoin(NewBatchScan(rt, nil, size), NewBatchScan(st, nil, size), pred, mode, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	want := refFor(t, mode, rt.Relation(), st.Relation(), pred)
+	ec, gov, dir := spillCtx(t, 500)
+	n := mk()
+	got, err := CollectCtx(ec, n, nil)
+	if err != nil {
+		t.Fatalf("spilled nested loop failed: %v", err)
+	}
+	if !want.EqualBag(got) {
+		t.Errorf("spilled NL bag differs: want %d rows, got %d", want.Len(), got.Len())
+	}
+	if sp := n.SpillInfo(); !sp.Spilled() {
+		t.Errorf("nested loop should report its spilled inner run, got %+v", sp)
+	}
+	checkSpillDrained(t, gov, dir)
+}
+
 func TestMergeJoinSpill(t *testing.T) {
+	const size = 0
 	// Heavy duplicate keys so right-side groups overflow the budget.
 	r := relation.New(relation.SchemeOf("R", "k", "v"))
 	s := relation.New(relation.SchemeOf("S", "k", "w"))
@@ -279,11 +288,11 @@ func TestMergeJoinSpill(t *testing.T) {
 			// Merge join needs sorted inputs; sort them via governed
 			// external sorts so the whole pipeline runs under the budget.
 			mkGov := func() (Iterator, *Sort, *MergeJoin) {
-				ls, err := NewSort(NewScan(rt, nil), []relation.Attr{rk})
+				ls, err := NewSort(NewBatchScan(rt, nil, size), []relation.Attr{rk})
 				if err != nil {
 					t.Fatal(err)
 				}
-				rs, err := NewSort(NewScan(st, nil), []relation.Attr{sk})
+				rs, err := NewSort(NewBatchScan(st, nil, size), []relation.Attr{sk})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -322,8 +331,9 @@ func TestMergeJoinSpill(t *testing.T) {
 // when it is too small the run must abort with a typed SpillExceeded
 // error and still clean up every file and reservation.
 func TestSpillBudgetExceeded(t *testing.T) {
+	const size = 0
 	rt, _ := spillTables(t, 1000, 0)
-	s, err := NewSort(NewScan(rt, nil), []relation.Attr{relation.A("R", "k")})
+	s, err := NewSort(NewBatchScan(rt, nil, size), []relation.Attr{relation.A("R", "k")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +351,7 @@ func TestSpillBudgetExceeded(t *testing.T) {
 // partial-build leak: when any child fault makes an operator's Open
 // fail, every governor charge taken during that Open must already be
 // released when Open returns — before Close runs — across the whole
-// 18-operator inventory and every child position.
+// operator inventory and every child position.
 func TestFailedOpenDrainsGovernor(t *testing.T) {
 	rt, st := contractTables(t)
 	var c Counters
@@ -388,53 +398,47 @@ func TestFailedOpenDrainsGovernor(t *testing.T) {
 // buffers released and the governor drained. Guards the Sort mid-build
 // trip regression.
 func TestTripDuringOpenCloseSafe(t *testing.T) {
+	const size = 0
 	rt, st := contractTables(t)
 	rk := relation.A("R", "k")
 	sk := relation.A("S", "k")
 	builders := map[string]func(t *testing.T) Iterator{
 		"sort": func(t *testing.T) Iterator {
-			s, err := NewSort(NewScan(rt, nil), []relation.Attr{rk})
+			s, err := NewSort(NewBatchScan(rt, nil, size), []relation.Attr{rk})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return s
 		},
 		"nestedloop": func(t *testing.T) Iterator {
-			n, err := NewNestedLoopJoin(NewScan(rt, nil), NewScan(st, nil),
-				predicate.Eq(rk, sk), InnerMode)
+			n, err := NewBatchNestedLoopJoin(NewBatchScan(rt, nil, size), NewBatchScan(st, nil, size),
+				predicate.Eq(rk, sk), InnerMode, size)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return n
 		},
 		"mergejoin": func(t *testing.T) Iterator {
-			m, err := NewMergeJoin(NewScan(rt, nil), NewScan(st, nil), rk, sk, InnerMode)
+			m, err := NewMergeJoin(NewBatchScan(rt, nil, size), NewBatchScan(st, nil, size), rk, sk, InnerMode)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return m
 		},
 		"goj": func(t *testing.T) Iterator {
-			g, err := NewHashGOJ(NewScan(rt, nil), NewScan(st, nil),
+			g, err := NewHashGOJ(NewBatchScan(rt, nil, size), NewBatchScan(st, nil, size),
 				[]relation.Attr{rk}, []relation.Attr{sk}, []relation.Attr{rk})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return g
 		},
-		"parallel": func(t *testing.T) Iterator {
-			p, err := NewParallelHashJoin(NewScan(rt, nil), NewScan(st, nil), rk, sk, InnerMode, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
-		},
 	}
 	for _, mode := range []JoinMode{InnerMode, LeftOuterMode, SemiMode, AntiMode} {
 		mode := mode
 		builders["hashjoin-"+mode.String()] = func(t *testing.T) Iterator {
-			h, err := NewHashJoin(NewScan(rt, nil), NewScan(st, nil),
-				[]relation.Attr{rk}, []relation.Attr{sk}, nil, mode)
+			h, err := NewBatchHashJoin(NewBatchScan(rt, nil, size), NewBatchScan(st, nil, size),
+				[]relation.Attr{rk}, []relation.Attr{sk}, nil, mode, size)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -518,9 +522,9 @@ func TestSpillFaultOracle(t *testing.T) {
 						}
 					} else if !errors.Is(err, storage.ErrInjected) &&
 						!(errors.As(err, &re) && re.Kind == MemoryExceeded) {
-						// Operators without a spill path (parallel hash join,
-						// hash GOJ) may trip the budget; that is a typed,
-						// clean failure, not an oracle violation.
+						// Operators without a spill path (hash GOJ) may trip
+						// the budget; that is a typed, clean failure, not an
+						// oracle violation.
 						t.Errorf("fault %d: error is neither injected nor a typed trip: %v", fi, err)
 					}
 					checkInvariants(t, it, fis, gov)

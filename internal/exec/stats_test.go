@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"freejoin/internal/relation"
-	"freejoin/internal/storage"
 )
 
 // TestInstrumentStats checks the per-operator accounting: rows out, base
@@ -17,9 +16,9 @@ func TestInstrumentStats(t *testing.T) {
 	var c Counters
 	rk, sk := relation.A("R", "k"), relation.A("S", "k")
 
-	wrapR := Instrument(NewScan(rt, &c), "scan R", &c)
-	wrapS := Instrument(NewScan(st, &c), "scan S", &c)
-	hj, err := NewHashJoin(wrapR, wrapS, []relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode)
+	wrapR := Instrument(NewBatchScan(rt, &c, 0), "scan R", &c)
+	wrapS := Instrument(NewBatchScan(st, &c, 0), "scan S", &c)
+	hj, err := NewBatchHashJoin(wrapR, wrapS, []relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +69,8 @@ func TestInstrumentIndexJoinAttribution(t *testing.T) {
 	var c Counters
 	rk := relation.A("R", "k")
 
-	wrapR := Instrument(NewScan(rt, &c), "scan R", &c)
-	ij, err := NewIndexJoin(wrapR, st, "k", rk, nil, InnerMode, &c)
+	wrapR := Instrument(NewBatchScan(rt, &c, 0), "scan R", &c)
+	ij, err := NewBatchIndexJoin(wrapR, st, "k", rk, nil, InnerMode, &c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +88,10 @@ func TestInstrumentIndexJoinAttribution(t *testing.T) {
 	}
 }
 
-// TestInstrumentedParallelRace runs several instrumented trees rooted at
-// ParallelHashJoin concurrently (each with its own Counters). Under
-// `go test -race` this proves the instrumentation adds no shared state to
-// the operator's internal worker pool.
+// TestInstrumentedParallelRace runs several instrumented hash-join trees
+// concurrently (each with its own Counters). Under `go test -race` this
+// proves the instrumentation and the operators share no unsynchronized
+// state (the batch slab pool and the process metrics are shared).
 func TestInstrumentedParallelRace(t *testing.T) {
 	rt, st := contractTables(t)
 	rk, sk := relation.A("R", "k"), relation.A("S", "k")
@@ -103,14 +102,14 @@ func TestInstrumentedParallelRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var c Counters
-			wrapR := Instrument(NewScan(rt, &c), "scan R", &c)
-			wrapS := Instrument(NewScan(st, &c), "scan S", &c)
-			pj, err := NewParallelHashJoin(wrapR, wrapS, rk, sk, InnerMode, 4)
+			wrapR := Instrument(NewBatchScan(rt, &c, 0), "scan R", &c)
+			wrapS := Instrument(NewBatchScan(st, &c, 0), "scan S", &c)
+			pj, err := NewBatchHashJoin(wrapR, wrapS, []relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, 2)
 			if err != nil {
 				errs <- err
 				return
 			}
-			root := Instrument(pj, "parallel join", &c, wrapR.Node(), wrapS.Node())
+			root := Instrument(pj, "join", &c, wrapR.Node(), wrapS.Node())
 			out, err := Collect(root, &c)
 			if err != nil {
 				errs <- err
@@ -128,40 +127,6 @@ func TestInstrumentedParallelRace(t *testing.T) {
 	}
 }
 
-// BenchmarkProjectDedup measures the deduplicating projection, whose key
-// encoding reuses a scratch buffer across rows instead of allocating one
-// per input row.
-func BenchmarkProjectDedup(b *testing.B) {
-	rel := relation.New(relation.SchemeOf("R", "k", "v"))
-	for i := 0; i < 4096; i++ {
-		rel.AppendRaw([]relation.Value{relation.Int(int64(i % 64)), relation.Int(int64(i))})
-	}
-	tb := storage.NewTable("R", rel)
-	proj, err := NewProject(NewScan(tb, nil), []relation.Attr{relation.A("R", "k")}, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := proj.Open(nil); err != nil {
-			b.Fatal(err)
-		}
-		for {
-			_, ok, err := proj.Next()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-		}
-		if err := proj.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestInstrumentStatsResetOnReopen drives an instrumented hash join
 // into the grace-hash degradation (a tiny byte budget with spill on)
 // and re-opens it: the second cycle's stats — NextCalls, RowsOut,
@@ -171,7 +136,7 @@ func TestInstrumentStatsResetOnReopen(t *testing.T) {
 	rt, st := contractTables(t)
 	var c Counters
 	rk, sk := relation.A("R", "k"), relation.A("S", "k")
-	hj, err := NewHashJoin(NewScan(rt, &c), NewScan(st, &c), []relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode)
+	hj, err := NewBatchHashJoin(NewBatchScan(rt, &c, 0), NewBatchScan(st, &c, 0), []relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

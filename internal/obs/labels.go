@@ -10,9 +10,9 @@ import (
 // query: query_id (the tracer's ID — look it up in /debug/queries),
 // fingerprint (the plan-cache identity of the query graph) and strategy
 // (the optimizer's choice). Goroutine labels are inherited by every
-// goroutine f spawns, so labelling the executing goroutine covers
-// ParallelHashJoin workers and spill writers for free — a CPU profile
-// captured at /debug/pprof/profile slices by query shape.
+// goroutine f spawns, so labelling the executing goroutine covers any
+// helper goroutine for free — a CPU profile captured at
+// /debug/pprof/profile slices by query shape.
 //
 // Empty fingerprint/strategy values are omitted rather than recorded as
 // "" (pprof drops empty label values anyway, and omitting keeps the

@@ -28,7 +28,7 @@ import (
 )
 
 // counterStripes is the number of cache-line-padded cells a Counter is
-// striped across. Eight stripes keep ParallelHashJoin-scale fan-out from
+// striped across. Eight stripes keep concurrent sessions from
 // serializing on one cache line while costing only 512 bytes per counter.
 const counterStripes = 8
 

@@ -47,10 +47,8 @@ func (o *Optimizer) build(p *Plan, c *exec.Counters, ins bool, tr *Trace) (exec.
 			if it, err = exec.NewIndexScan(t, p.IndexCol, p.IndexVal, c); err != nil {
 				return nil, nil, err
 			}
-		} else if size, on := o.batchRows(); on {
-			it = exec.NewBatchScan(t, c, size)
 		} else {
-			it = exec.NewScan(t, c)
+			it = exec.NewBatchScan(t, c, 0)
 		}
 		wrapped, node := wrapNode(it, p, c, ins)
 		return wrapped, node, nil
@@ -79,12 +77,7 @@ func (o *Optimizer) build(p *Plan, c *exec.Counters, ins bool, tr *Trace) (exec.
 		if !ok || len(lk) != 1 || rk[0].Name != p.IndexCol {
 			return nil, nil, fmt.Errorf("optimizer: index plan predicate mismatch: %v", p.Pred)
 		}
-		var it exec.Iterator
-		if size, on := o.batchRows(); on {
-			it, err = exec.NewBatchIndexJoin(left, t, p.IndexCol, lk[0], nil, mode, c, size)
-		} else {
-			it, err = exec.NewIndexJoin(left, t, p.IndexCol, lk[0], nil, mode, c)
-		}
+		it, err := exec.NewBatchIndexJoin(left, t, p.IndexCol, lk[0], nil, mode, c, 0)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -106,12 +99,7 @@ func (o *Optimizer) build(p *Plan, c *exec.Counters, ins bool, tr *Trace) (exec.
 		if !ok {
 			return nil, nil, fmt.Errorf("optimizer: hash plan predicate mismatch: %v", p.Pred)
 		}
-		var it hashJoinIterator
-		if size, on := o.batchRows(); on {
-			it, err = exec.NewBatchHashJoin(left, right, lk, rk, nil, mode, size)
-		} else {
-			it, err = exec.NewHashJoin(left, right, lk, rk, nil, mode)
-		}
+		it, err := exec.NewBatchHashJoin(left, right, lk, rk, nil, mode, 0)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -123,12 +111,7 @@ func (o *Optimizer) build(p *Plan, c *exec.Counters, ins bool, tr *Trace) (exec.
 		if err != nil {
 			return nil, nil, err
 		}
-		var it exec.Iterator
-		if size, on := o.batchRows(); on {
-			it, err = exec.NewBatchNestedLoopJoin(left, right, p.Pred, mode, size)
-		} else {
-			it, err = exec.NewNestedLoopJoin(left, right, p.Pred, mode)
-		}
+		it, err := exec.NewBatchNestedLoopJoin(left, right, p.Pred, mode, 0)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -142,14 +125,7 @@ func (o *Optimizer) build(p *Plan, c *exec.Counters, ins bool, tr *Trace) (exec.
 		if err != nil {
 			return nil, nil, err
 		}
-		var it exec.Iterator
-		size, on := o.batchRows()
-		_, _, equi := predicate.EquiParts(p.Pred, p.Left.Scheme, p.Right.Scheme)
-		if on && equi {
-			it, err = exec.NewBatchSemiReduce(left, right, p.Pred, size)
-		} else {
-			it, err = exec.NewSemiReduce(left, right, p.Pred)
-		}
+		it, err := exec.NewSemiJoin(left, right, p.Pred, 0)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -206,7 +182,7 @@ func (o *Optimizer) build(p *Plan, c *exec.Counters, ins bool, tr *Trace) (exec.
 // trip time. The index fallback is still wired as the path for
 // spill-disabled contexts; the trace records whichever path this
 // session would actually take.
-func (o *Optimizer) attachFallback(it hashJoinIterator, p *Plan, lk, rk []relation.Attr, mode exec.JoinMode, c *exec.Counters, tr *Trace) {
+func (o *Optimizer) attachFallback(it *exec.BatchHashJoin, p *Plan, lk, rk []relation.Attr, mode exec.JoinMode, c *exec.Counters, tr *Trace) {
 	if o.Spill && tr != nil && tr.Degradation == "" {
 		tr.Degradation = "grace-hash spill"
 	}
@@ -224,16 +200,8 @@ func (o *Optimizer) attachFallback(it hashJoinIterator, p *Plan, lk, rk []relati
 		tr.Degradation = fmt.Sprintf("index join via %s.%s", p.Right.Table, rk[0].Name)
 	}
 	it.SetFallback(func(left exec.Iterator) (exec.Iterator, error) {
-		return exec.NewIndexJoin(left, t, rk[0].Name, lk[0], nil, mode, c)
+		return exec.NewBatchIndexJoin(left, t, rk[0].Name, lk[0], nil, mode, c, 0)
 	})
-}
-
-// hashJoinIterator is the common surface of the row and batch hash
-// joins the lowering wires degradation paths onto.
-type hashJoinIterator interface {
-	exec.Iterator
-	SetFallback(mk func(left exec.Iterator) (exec.Iterator, error))
-	DegradedTo() exec.Iterator
 }
 
 // wrapNode instruments it as the physical realization of plan node p,

@@ -1,7 +1,6 @@
 package optimizer
 
 import (
-	"fmt"
 	"sort"
 
 	"freejoin/internal/graph"
@@ -68,14 +67,6 @@ func (o *Optimizer) fingerprintFor(g *graph.Graph, filters map[string]predicate.
 	default:
 		// A strategy toggle must never be served the other mode's plan.
 		extras = append(extras, "config: strategy "+o.Strategy)
-	}
-	switch {
-	case o.BatchSize < 0:
-		// Row-mode plans carry different iterators than batch-mode plans;
-		// a cached batch plan must never serve a row-mode request.
-		extras = append(extras, "config: batch=off")
-	case o.BatchSize > 0:
-		extras = append(extras, fmt.Sprintf("config: batch=%d", o.BatchSize))
 	}
 	return plancache.Of(g, extras...)
 }

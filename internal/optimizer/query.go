@@ -321,12 +321,7 @@ func (o *Optimizer) buildFilter(p *Plan, c *exec.Counters, ins bool, tr *Trace) 
 	if err != nil {
 		return nil, nil, err
 	}
-	var it exec.Iterator
-	if size, on := o.batchRows(); on {
-		it, err = exec.NewBatchFilter(child, p.Pred, size)
-	} else {
-		it, err = exec.NewFilter(child, p.Pred)
-	}
+	it, err := exec.NewBatchFilter(child, p.Pred, 0)
 	if err != nil {
 		return nil, nil, err
 	}

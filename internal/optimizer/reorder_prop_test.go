@@ -43,20 +43,6 @@ const (
 //  4. the plan cache fingerprints every tree of the graph identically:
 //     the first tree misses, every later tree hits the same plan object.
 func TestMetamorphicFreeReorderability(t *testing.T) {
-	// The full suite runs once per execution mode: the batched
-	// evaluators and the row-at-a-time ones must both satisfy every
-	// oracle, and through the shared algebra reference their bags agree
-	// with each other as well.
-	for _, mode := range []struct {
-		name string
-		size int
-	}{{"batch", 0}, {"row", BatchOff}} {
-		mode := mode
-		t.Run(mode.name, func(t *testing.T) { runMetamorphicFreeReorderability(t, mode.size) })
-	}
-}
-
-func runMetamorphicFreeReorderability(t *testing.T, batchSize int) {
 	success, attempt := 0, 0
 	for ; success < metamorphicInstances; attempt++ {
 		if attempt >= metamorphicInstances*10 {
@@ -85,7 +71,6 @@ func runMetamorphicFreeReorderability(t *testing.T, batchSize int) {
 		db := workload.RandomDB(rnd, g, 6)
 		o := New(catalogFor(db))
 		o.Cache = plancache.New(metamorphicITCap)
-		o.BatchSize = batchSize
 
 		var ref *relation.Relation
 		var fp string

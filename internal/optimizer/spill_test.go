@@ -164,23 +164,10 @@ func TestExplainAnalyzeSpillCounters(t *testing.T) {
 
 // TestMetamorphicSpillOracle is the spill edition of the metamorphic
 // free-reorderability suite: for every random nice-graph instance, the
-// optimized plan executed under a byte budget small enough to force
-// every blocking operator to disk must produce exactly the bag of the
-// unbudgeted in-memory run.
+// optimized plan — run unbudgeted, and again under a byte budget small
+// enough to force every blocking operator to disk — must produce
+// exactly the bag of the algebra reference.
 func TestMetamorphicSpillOracle(t *testing.T) {
-	// Once per execution mode: spilled row plans and spilled batch
-	// plans must both reproduce their in-memory bags, and the two
-	// modes' in-memory bags are compared against each other directly.
-	for _, mode := range []struct {
-		name string
-		size int
-	}{{"batch", 0}, {"row", BatchOff}} {
-		mode := mode
-		t.Run(mode.name, func(t *testing.T) { runMetamorphicSpillOracle(t, mode.size) })
-	}
-}
-
-func runMetamorphicSpillOracle(t *testing.T, batchSize int) {
 	runs0 := obs.SpillRuns.Value()
 	success := 0
 	for attempt := 0; success < metamorphicInstances; attempt++ {
@@ -214,36 +201,21 @@ func runMetamorphicSpillOracle(t *testing.T, batchSize int) {
 		o := New(catalogFor(db))
 		o.Cache = plancache.New(metamorphicITCap)
 		o.Spill = true
-		o.BatchSize = batchSize
 
+		ref, err := its[0].Eval(db)
+		if err != nil {
+			t.Fatalf("seed %d: Eval: %v", seed, err)
+		}
 		p, _, err := o.OptimizeTrace(its[0])
 		if err != nil {
 			t.Fatalf("seed %d: OptimizeTrace: %v", seed, err)
 		}
-		ref, _, err := o.Execute(p)
+		mem, _, err := o.Execute(p)
 		if err != nil {
 			t.Fatalf("seed %d: unbudgeted execute: %v", seed, err)
 		}
-
-		// Cross-mode oracle: the opposite evaluator mode, unbudgeted,
-		// produces exactly the same bag.
-		other := New(catalogFor(db))
-		other.Spill = true
-		if batchSize == BatchOff {
-			other.BatchSize = 0
-		} else {
-			other.BatchSize = BatchOff
-		}
-		po, _, err := other.Optimize(its[0])
-		if err != nil {
-			t.Fatalf("seed %d: cross-mode optimize: %v", seed, err)
-		}
-		orel, _, err := other.Execute(po)
-		if err != nil {
-			t.Fatalf("seed %d: cross-mode execute: %v", seed, err)
-		}
-		if !orel.EqualBag(ref) {
-			t.Fatalf("seed %d: row and batch evaluators disagree\ngraph:\n%s", seed, g)
+		if !mem.EqualBag(ref) {
+			t.Fatalf("seed %d: in-memory execution differs from the algebra\ngraph:\n%s", seed, g)
 		}
 
 		// 96 bytes admits one ~80-byte row and trips on the second: every
@@ -257,7 +229,7 @@ func runMetamorphicSpillOracle(t *testing.T, batchSize int) {
 			t.Fatalf("seed %d: spilled execute: %v\ngraph:\n%s", seed, err, g)
 		}
 		if !got.EqualBag(ref) {
-			t.Fatalf("seed %d: spilled execution differs from in-memory run\ngraph:\n%s", seed, g)
+			t.Fatalf("seed %d: spilled execution differs from the algebra\ngraph:\n%s", seed, g)
 		}
 		if gov.UsedRows() != 0 || gov.UsedBytes() != 0 || gov.UsedSpillBytes() != 0 {
 			t.Fatalf("seed %d: governor not drained: rows=%d bytes=%d spill=%d",
@@ -272,64 +244,4 @@ func runMetamorphicSpillOracle(t *testing.T, batchSize int) {
 		t.Error("the suite never actually spilled; the budget is not forcing the disk path")
 	}
 	t.Logf("verified %d spilled instances", success)
-}
-
-// TestBatchToggleMissesPlanCache: a plan lowered with the batch
-// evaluators contains different physical operators than a row plan (and
-// an explicit size is baked into the operators at lowering), so every
-// distinct batch mode must key its own cache entry and hit only itself
-// on repeat.
-func TestBatchToggleMissesPlanCache(t *testing.T) {
-	o, q := cacheFixture(t, 78)
-
-	_, tr1, err := o.OptimizeTrace(q) // default: batched
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr1.CacheOutcome != "miss" {
-		t.Fatalf("first optimize outcome %q; want miss", tr1.CacheOutcome)
-	}
-
-	o.BatchSize = BatchOff
-	_, tr2, err := o.OptimizeTrace(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr2.CacheOutcome != "miss" {
-		t.Fatalf("row-mode optimize outcome %q; want miss (must not reuse the batched plan)", tr2.CacheOutcome)
-	}
-	if tr1.Fingerprint == tr2.Fingerprint {
-		t.Fatalf("batch toggle did not change the fingerprint: %s", tr1.Fingerprint)
-	}
-
-	o.BatchSize = 256
-	_, tr3, err := o.OptimizeTrace(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr3.CacheOutcome != "miss" {
-		t.Fatalf("explicit-size optimize outcome %q; want miss", tr3.CacheOutcome)
-	}
-	if tr3.Fingerprint == tr1.Fingerprint || tr3.Fingerprint == tr2.Fingerprint {
-		t.Fatalf("explicit batch size shares a fingerprint with another mode")
-	}
-
-	// Each mode hits its own entry on repeat.
-	for _, step := range []struct {
-		size int
-		fp   string
-	}{{0, tr1.Fingerprint}, {BatchOff, tr2.Fingerprint}, {256, tr3.Fingerprint}} {
-		o.BatchSize = step.size
-		_, tr, err := o.OptimizeTrace(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tr.CacheOutcome != "hit" || tr.Fingerprint != step.fp {
-			t.Fatalf("batch=%d repeat: outcome %q fp %q; want hit on %q",
-				step.size, tr.CacheOutcome, tr.Fingerprint, step.fp)
-		}
-	}
-	if o.Cache.Len() != 3 {
-		t.Fatalf("cache holds %d entries; want one per batch mode", o.Cache.Len())
-	}
 }

@@ -10,6 +10,9 @@ import (
 	"freejoin/internal/expr"
 	"freejoin/internal/graph"
 	"freejoin/internal/obs"
+	"freejoin/internal/parse"
+	"freejoin/internal/relation"
+	"freejoin/internal/storage"
 	"freejoin/internal/workload"
 )
 
@@ -310,6 +313,38 @@ func TestYannakakisObservability(t *testing.T) {
 	}
 	if obs.SemiReduceInputRows.Value() == in0 {
 		t.Error("oj_semijoin_reduce_input_rows_total did not move")
+	}
+}
+
+// TestYannakakisThetaStepCounts: a reducer step over a theta predicate
+// lowers to the nested-loop join in SemiMode and still feeds the
+// reduction counters, rows in and rows out.
+func TestYannakakisThetaStepCounts(t *testing.T) {
+	cat := storage.NewCatalog()
+	cat.AddRelation("A", relation.FromRows("A", []string{"b"}, []any{1}, []any{3}, []any{5}, []any{7}))
+	cat.AddRelation("B", relation.FromRows("B", []string{"b"}, []any{4}, []any{6}))
+	o := New(cat)
+	o.Strategy = "yannakakis"
+	q, err := parse.Expr("A -[A.b > B.b] B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, tr, err := o.PlanQueryTrace(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Strategy != "yannakakis" || !strings.Contains(p.Explain(), "semireduce") {
+		t.Fatalf("want a yannakakis plan with reducer steps, got %q:\n%s", tr.Strategy, p.Explain())
+	}
+	in0, out0 := obs.SemiReduceInputRows.Value(), obs.SemiReduceOutputRows.Value()
+	if _, _, err := o.Execute(p); err != nil {
+		t.Fatal(err)
+	}
+	// Three steps run: A ⋉ B (4 rows in, A.b in {5, 7} out) once for the
+	// join phase and once under the top-down B ⋉ (A ⋉ B), which keeps
+	// both B rows (2 in, 2 out): 10 rows in, 6 out.
+	if in, out := obs.SemiReduceInputRows.Value()-in0, obs.SemiReduceOutputRows.Value()-out0; in != 10 || out != 6 {
+		t.Errorf("reduction counters moved by in=%d out=%d, want 10 and 6", in, out)
 	}
 }
 

@@ -104,8 +104,8 @@ func (e *ResourceError) Unwrap() error { return e.Err }
 // Governor enforces a memory budget over the rows the executor holds
 // materialized at once (sort buffers, hash tables, join inputs). Limits
 // may be expressed in rows, bytes, or both; zero means unlimited.
-// Reservations are accounted with atomics so ParallelHashJoin workers can
-// charge concurrently, and trips plus graceful degradations are recorded
+// Reservations are accounted with atomics so concurrent executions can
+// charge one governor, and trips plus graceful degradations are recorded
 // as events for EXPLAIN ANALYZE.
 type Governor struct {
 	limitRows  int64
@@ -343,11 +343,6 @@ type ExecContext struct {
 	gov   *Governor
 	spill *SpillConfig
 
-	// batchRows, when positive, overrides the batch size of every batch
-	// operator opened under this context (the session's `set batch_size`).
-	// Zero means "use the operator's configured size".
-	batchRows int
-
 	// tripNoted dedupes the metrics hook: a cancelled or expired context
 	// surfaces through every operator the abort unwinds past, and each
 	// Err call mints a fresh ResourceError; the process-wide trip counter
@@ -397,26 +392,6 @@ func (ec *ExecContext) Spill() *SpillConfig {
 		return nil
 	}
 	return ec.spill
-}
-
-// SetBatchRows sets the per-execution batch size override; n <= 0
-// clears it. Call before execution starts.
-func (ec *ExecContext) SetBatchRows(n int) {
-	if ec != nil {
-		if n < 0 {
-			n = 0
-		}
-		ec.batchRows = n
-	}
-}
-
-// BatchRows returns the execution's batch-size override, or 0 when none
-// is set (including on a nil context).
-func (ec *ExecContext) BatchRows() int {
-	if ec == nil {
-		return 0
-	}
-	return ec.batchRows
 }
 
 // Err reports whether the context has been cancelled or its deadline has

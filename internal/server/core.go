@@ -50,12 +50,6 @@ type Config struct {
 	SpillDir  string // spill run-file directory ("" → OS temp dir)
 	Strategy  string // default planner strategy for new sessions ("" → dp)
 
-	// BatchSize is the default vectorized-execution mode for new
-	// sessions: 0 runs batched with exec.DefaultBatchSize,
-	// optimizer.BatchOff (-1) forces row-at-a-time evaluators, and a
-	// positive value sets the rows per batch.
-	BatchSize int
-
 	SnapshotPath string // optional .fjdb catalog snapshot to restore at startup
 
 	// Connection hygiene (0 → the defaults above, <0 → disabled).

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"freejoin/internal/optimizer"
 )
 
 // testClient is one protocol connection: send a command line, decode
@@ -327,46 +325,5 @@ func TestServerGracefulClose(t *testing.T) {
 	var nilSrv *Server
 	if err := nilSrv.Close(); err != nil {
 		t.Fatalf("nil Close: %v", err)
-	}
-}
-
-// "set batch_size off" flips a session to the row-at-a-time evaluators
-// and must not be served the batched plan from the shared cache (the
-// batch mode keys the fingerprint); results agree across modes.
-func TestServerSetBatchSize(t *testing.T) {
-	srv := startTestServer(t, Config{})
-	c := dialServer(t, srv.Addr())
-	c.mustOK("table R(a) = (1), (2)")
-	c.mustOK("table S(a) = (2), (3)")
-	if r := c.mustOK("set"); !strings.Contains(r.Output, "batch_size: 1024 (default)") {
-		t.Fatalf("default set output missing batch_size:\n%s", r.Output)
-	}
-	q := "R ->[R.a = S.a] S"
-	if r := c.mustOK("query " + q); r.Rows != 2 {
-		t.Fatalf("batched query rows = %d, want 2", r.Rows)
-	}
-	c.mustOK("set batch_size off")
-	r := c.mustOK("query " + q)
-	if r.Rows != 2 {
-		t.Fatalf("row-mode query rows = %d, want 2", r.Rows)
-	}
-	if r.Cache == "hit" {
-		t.Fatalf("row-mode query hit the batched plan in the shared cache")
-	}
-	c.mustOK("set batch_size 128")
-	if r := c.mustOK("set"); !strings.Contains(r.Output, "batch_size: 128") {
-		t.Fatalf("set output missing explicit batch_size:\n%s", r.Output)
-	}
-	if r := c.send("set batch_size -3"); r.OK || r.Code != CodeUsage {
-		t.Fatalf("bad batch_size = %+v", r)
-	}
-}
-
-// Config.BatchSize seeds every new session's execution mode.
-func TestServerBatchSizeDefault(t *testing.T) {
-	srv := startTestServer(t, Config{BatchSize: optimizer.BatchOff})
-	c := dialServer(t, srv.Addr())
-	if r := c.mustOK("set"); !strings.Contains(r.Output, "batch_size: off") {
-		t.Fatalf("seeded set output missing batch_size off:\n%s", r.Output)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sort"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -113,10 +112,6 @@ type Session struct {
 	spill    bool
 	useCache bool   // whether this session consults the shared plan cache
 	strategy string // planner strategy ("" → dp); see optimizer.Optimizer.Strategy
-	// batchSize selects vectorized execution: 0 = batched with the
-	// default size, optimizer.BatchOff = row-at-a-time, >0 = rows per
-	// batch. Part of the plan-cache fingerprint.
-	batchSize int
 
 	prepared map[string]*preparedStmt
 }
@@ -129,14 +124,13 @@ type preparedStmt struct {
 // NewSession builds a session with the core's default limits.
 func NewSession(core *Core) *Session {
 	return &Session{
-		core:      core,
-		timeout:   core.cfg.Timeout,
-		memLimit:  core.cfg.QueryMemBytes,
-		spill:     core.cfg.Spill,
-		useCache:  core.plans != nil,
-		strategy:  core.cfg.Strategy,
-		batchSize: core.cfg.BatchSize,
-		prepared:  make(map[string]*preparedStmt),
+		core:     core,
+		timeout:  core.cfg.Timeout,
+		memLimit: core.cfg.QueryMemBytes,
+		spill:    core.cfg.Spill,
+		useCache: core.plans != nil,
+		strategy: core.cfg.Strategy,
+		prepared: make(map[string]*preparedStmt),
 	}
 }
 
@@ -154,7 +148,6 @@ const sessionHelp = `commands (one per line; every answer is one JSON line):
   set spill on|off                            spill to disk on memory budget trips
   set plan_cache on|off                       consult the shared plan cache
   set strategy dp|yannakakis|auto             planner for reorderable queries
-  set batch_size N|off|default                rows per execution batch (off = row-at-a-time)
   set                                         show current limits
   stats                                       admission/pool/cache snapshot
   quit                                        close the session`
@@ -289,11 +282,11 @@ func (s *Session) cmdSet(rest string) Response {
 			strategy = "dp"
 		}
 		return Response{OK: true, Output: fmt.Sprintf(
-			"timeout: %s\nmemory_limit: %s\nspill: %s\nplan_cache: %s\nstrategy: %s\nbatch_size: %s",
+			"timeout: %s\nmemory_limit: %s\nspill: %s\nplan_cache: %s\nstrategy: %s",
 			orOff(s.timeout.String(), s.timeout == 0),
 			orOff(fmt.Sprintf("%d bytes", s.memLimit), s.memLimit == 0),
 			orOff("on", !s.spill),
-			cache, strategy, batchSizeString(s.batchSize))}
+			cache, strategy)}
 	}
 	name, val, _ := strings.Cut(rest, " ")
 	val = strings.TrimSpace(val)
@@ -356,22 +349,8 @@ func (s *Session) cmdSet(rest string) Response {
 		default:
 			return errResp(CodeUsage, fmt.Errorf("usage: set strategy dp|yannakakis|auto"))
 		}
-	case "batch_size":
-		switch {
-		case strings.EqualFold(val, "off"):
-			s.batchSize = optimizer.BatchOff
-		case strings.EqualFold(val, "default") || strings.EqualFold(val, "on"):
-			s.batchSize = 0
-		default:
-			n, err := strconv.Atoi(val)
-			if err != nil || n <= 0 {
-				return errResp(CodeUsage, fmt.Errorf("usage: set batch_size N|off|default"))
-			}
-			s.batchSize = n
-		}
-		return Response{OK: true, Output: "batch_size " + batchSizeString(s.batchSize)}
 	default:
-		return errResp(CodeUsage, fmt.Errorf("usage: set timeout|memory_limit|spill|plan_cache|strategy|batch_size VALUE|off"))
+		return errResp(CodeUsage, fmt.Errorf("usage: set timeout|memory_limit|spill|plan_cache|strategy VALUE|off"))
 	}
 }
 
@@ -407,22 +386,7 @@ func (s *Session) newOptimizer() *optimizer.Optimizer {
 	}
 	o.Spill = s.spill
 	o.Strategy = s.strategy
-	o.BatchSize = s.batchSize
 	return o
-}
-
-// batchSizeString renders the batch-size setting: "off" for the
-// row-at-a-time mode, the default size when unset, or the explicit
-// rows-per-batch count.
-func batchSizeString(n int) string {
-	switch {
-	case n == optimizer.BatchOff:
-		return "off"
-	case n == 0:
-		return fmt.Sprintf("%d (default)", exec.DefaultBatchSize)
-	default:
-		return strconv.Itoa(n)
-	}
 }
 
 // runQuery is the query lifecycle: trace, admit (queueing under the
@@ -498,7 +462,7 @@ func (s *Session) runQuery(ctx context.Context, label string, q *expr.Node, with
 	// Live progress and profile attribution: the caller-owned counters
 	// stream rows/tuples-so-far to /debug/queries?live=1 while the query
 	// runs, and the pprof goroutine labels (inherited by every goroutine
-	// the execution spawns — ParallelHashJoin workers, spill writers) let
+	// the execution spawns) let
 	// a CPU profile slice by query_id/fingerprint/strategy.
 	var c exec.Counters
 	qt.SetLabels(tr.Strategy, tr.Fingerprint)
