@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build test race cover bench bench-json bench-diff bench-smoke profile experiments faults obs spill server chaos yannakakis batch fuzz fuzz-smoke fmt vet clean
+.PHONY: all check build test race cover bench bench-json bench-diff bench-smoke profile experiments faults obs spill server chaos yannakakis batch loc fuzz fuzz-smoke fmt vet clean
 
 all: check
 
@@ -65,7 +65,7 @@ experiments:
 # Fault-injection and resource-governance suite; -count=2 shakes out
 # state reuse across re-Open (operators must fully reset).
 faults:
-	$(GO) test -count=2 -run 'Fault|ErrorPath|Cancelled|Deadline|MemoryBudget|Degradation|Governor|Leak|Collect' ./internal/exec ./internal/storage ./internal/resource ./internal/optimizer
+	$(GO) test -count=2 -run 'Fault|ErrorPath|Cancelled|Deadline|MemoryBudget|Degradation|Governor|Leak|Collect' ./internal/exec ./internal/resource ./internal/optimizer
 
 # Observability suite: the metrics registry and tracer, the span/stats
 # consistency property, concurrent scraping during a parallel join, and
@@ -75,15 +75,16 @@ obs:
 	$(GO) test -race -count=2 ./internal/obs ./internal/exec -run 'Span|Scrape|Counter|Histogram|Gauge|Registry|Trace|Ring|Slow|Server|Health|Metrics'
 	$(GO) test -race -count=2 ./cmd/ojshell ./cmd/reorder ./cmd/benchjson
 
-# Spill-to-disk suite: external sort, grace hash join, the spilled
-# nested-loop/merge joins, the metamorphic and fault-injection spill
-# oracles, and the failed-Open/trip-during-Open governor regressions —
+# Spill-to-disk suite: the grace hash join, the spilled nested-loop join,
+# semijoin filter and generalized outerjoin, the metamorphic and
+# fault-injection spill oracles, and the failed-Open/trip-during-Open
+# governor regressions —
 # under the race detector, -count=2 for state reuse across re-Open.
 # Runs with TMPDIR pointed at a scratch dir and fails if any ojspill-*
 # run file survives the suite.
 spill:
 	@dir=$$(mktemp -d) && \
-	TMPDIR=$$dir $(GO) test -race -count=2 -run 'Spill|FailedOpen|TripDuring|ExternalSort|Grace' ./internal/exec ./internal/exec/spill ./internal/optimizer && \
+	TMPDIR=$$dir $(GO) test -race -count=2 -run 'Spill|FailedOpen|TripDuring|Grace' ./internal/exec ./internal/exec/spill ./internal/optimizer && \
 	leaked=$$(find $$dir -name 'ojspill-*' | wc -l) && \
 	rm -rf $$dir && \
 	if [ $$leaked -ne 0 ]; then echo "spill: $$leaked run files leaked"; exit 1; fi
@@ -129,8 +130,7 @@ yannakakis:
 	if [ $$leaked -ne 0 ]; then echo "yannakakis: $$leaked run files leaked"; exit 1; fi
 
 # Batch-execution suite: the batch layer's unit tests (null bitmap,
-# adapter round-trip, trip outcomes, stale-left-batch regression, stream
-# mode), the registry-wide ownership detector (producers that scribble
+# batch sizes, trip outcomes, stale-left-batch regression, stream mode), the registry-wide ownership detector (producers that scribble
 # over the rows and batches they handed out + scribbling callers), and
 # the 200-instance metamorphic oracles against the algebra reference —
 # under the race detector, -count=2 for state reuse across re-Open, with
@@ -142,6 +142,13 @@ batch:
 	leaked=$$(find $$dir -name 'ojspill-*' | wc -l) && \
 	rm -rf $$dir && \
 	if [ $$leaked -ne 0 ]; then echo "batch: $$leaked run files leaked"; exit 1; fi
+
+# Code size: non-test Go lines in the executor (spill/ included) and in
+# the whole repository, leaving out the nested benchmark module and its
+# build directory. These are the numbers ROADMAP.md tracks.
+loc:
+	@echo "internal/exec: $$(cat $$(find internal/exec -name '*.go' ! -name '*_test.go') | wc -l)"
+	@echo "repo: $$(cat $$(find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*') | wc -l)"
 
 # Each fuzz target runs for a short budget; extend FUZZTIME for real runs.
 FUZZTIME ?= 30s

@@ -32,8 +32,9 @@ type Shell struct {
 	memLimit int64 // bytes
 
 	// spill enables spill-to-disk execution: blocking operators that
-	// trip the memory budget switch to external algorithms (external
-	// sort, grace hash join) instead of degrading or aborting. spillDir
+	// trip the memory budget switch to external algorithms (grace hash
+	// join, spilled nested-loop scans) instead of degrading or aborting.
+	// spillDir
 	// overrides where run files go (default: the OS temp dir).
 	spill    bool
 	spillDir string

@@ -61,7 +61,7 @@ const DefaultBatchSize = 1024
 //
 // Ownership follows the iterator contract: a batch returned by
 // NextBatch is owned by the producer and valid only until the caller's
-// next NextBatch/Next/Close on that producer. The caller MAY mutate it
+// next NextBatch/Close on that producer. The caller MAY mutate it
 // in place (filters compact survivors into the same slab); producers
 // never re-read a batch they have emitted.
 type Batch struct {
@@ -237,106 +237,5 @@ func (b *Batch) appendToRelation(out *relation.Relation) {
 		s := i * b.width
 		e := s + b.width
 		out.AppendRaw(slab[s:e:e])
-	}
-}
-
-// BatchIterator is an Iterator that can also hand rows up a batch at a
-// time. Batch operators implement both: NextBatch is the fast path, and
-// Next serves the same stream row by row through an internal cursor so
-// a batch operator slots under any row-at-a-time parent (and the full
-// contract/fault suites). Callers must not interleave Next and
-// NextBatch on one instance.
-type BatchIterator interface {
-	Iterator
-	NextBatch() (*Batch, bool, error)
-}
-
-// Batching adapts an iterator to the batch interface. If it already is
-// a BatchIterator it is returned unchanged; otherwise the adapter
-// accumulates up to size rows per NextBatch into a reused batch. The
-// copy is safe under the ownership contract (the child's row is copied
-// before the child's next Next).
-func Batching(it Iterator, size int) BatchIterator {
-	if bi, ok := it.(BatchIterator); ok {
-		return bi
-	}
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
-	return &batchAdapter{child: it, size: size}
-}
-
-type batchAdapter struct {
-	child Iterator
-	size  int
-	out   *Batch
-}
-
-func (a *batchAdapter) Scheme() *relation.Scheme { return a.child.Scheme() }
-
-func (a *batchAdapter) Open(ec *ExecContext) error { return a.child.Open(ec) }
-
-func (a *batchAdapter) Next() ([]relation.Value, bool, error) { return a.child.Next() }
-
-func (a *batchAdapter) NextBatch() (*Batch, bool, error) {
-	if a.out == nil {
-		a.out = NewBatch(a.child.Scheme(), a.size)
-	}
-	a.out.Reset()
-	for a.out.Len() < a.size {
-		row, ok, err := a.child.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			break
-		}
-		a.out.AppendRow(row)
-	}
-	if a.out.Len() == 0 {
-		return nil, false, nil
-	}
-	return a.out, true, nil
-}
-
-func (a *batchAdapter) Close() error {
-	a.out = releaseBatch(a.out)
-	return a.child.Close()
-}
-
-// BufferedRows forwards the child's count: the adapter's own batch is
-// transient output, not buffered input.
-func (a *batchAdapter) BufferedRows() int {
-	if b, ok := a.child.(Buffered); ok {
-		return b.BufferedRows()
-	}
-	return 0
-}
-
-// batchCursor serves a batch stream row by row for the Iterator side of
-// a batch operator. The operator's NextBatch must not reset its output
-// batch until the next NextBatch call, so rows stay valid while the
-// cursor walks them.
-type batchCursor struct {
-	b   *Batch
-	pos int
-}
-
-func (c *batchCursor) reset() { c.b, c.pos = nil, 0 }
-
-// next pulls rows through nb, refilling from the batch stream.
-func (c *batchCursor) next(nb func() (*Batch, bool, error)) ([]relation.Value, bool, error) {
-	for {
-		if c.b != nil && c.pos < c.b.Len() {
-			row := c.b.Row(c.pos)
-			c.pos++
-			return row, true, nil
-		}
-		b, ok, err := nb()
-		if err != nil || !ok {
-			c.b = nil
-			return nil, false, err
-		}
-		c.b, c.pos = b, 0
 	}
 }

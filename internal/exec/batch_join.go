@@ -92,7 +92,6 @@ type BatchHashJoin struct {
 
 	// Probe state.
 	bsize int
-	bleft BatchIterator
 	lc    leftCursor
 	kbuf  []byte
 	crow  []relation.Value // scratch concat row for the residual
@@ -106,11 +105,10 @@ type BatchHashJoin struct {
 	pendMatched bool
 
 	out *Batch
-	cur batchCursor
 
 	grace    *graceJoin // non-nil after a grace-hash spill
 	spst     SpillStats
-	fallback BatchIterator // the index join after a spill-less build trip
+	fallback Iterator // the index join after a spill-less build trip
 }
 
 // NewBatchHashJoin builds a hash join on leftKeys = rightKeys (attribute
@@ -182,7 +180,6 @@ func (h *BatchHashJoin) Open(ec *ExecContext) error {
 	}
 	h.ec = ec
 	h.spst = SpillStats{}
-	h.cur.reset()
 	h.lc.reset(nil)
 	h.pendRow, h.pendIdx, h.pendMatched = nil, -1, false
 	if err := ec.Err("hashjoin"); err != nil {
@@ -190,14 +187,12 @@ func (h *BatchHashJoin) Open(ec *ExecContext) error {
 	}
 	h.bsize = batchSize(h.size)
 	h.out = ensureBatch(h.out, h.scheme, h.bsize)
-	h.bleft = Batching(h.left, h.bsize)
-	bright := Batching(h.right, h.bsize)
 	if err := h.right.Open(ec); err != nil {
 		h.right.Close()
 		return h.fallBack(ec, err)
 	}
 	for {
-		b, ok, err := bright.NextBatch()
+		b, ok, err := h.right.NextBatch()
 		if err != nil {
 			h.right.Close()
 			h.resetBuild(ec)
@@ -209,7 +204,7 @@ func (h *BatchHashJoin) Open(ec *ExecContext) error {
 		// Amortized accounting: one reservation per build batch.
 		if cerr := h.held.chargeN(ec, "hashjoin", int64(b.Len()), b.Bytes()); cerr != nil {
 			if spillable(ec, cerr) {
-				return h.openGrace(ec, bright, b)
+				return h.openGrace(ec, b)
 			}
 			h.right.Close()
 			h.resetBuild(ec)
@@ -226,7 +221,7 @@ func (h *BatchHashJoin) Open(ec *ExecContext) error {
 		h.resetBuild(ec)
 		return err
 	}
-	h.lc.reset(h.bleft.NextBatch)
+	h.lc.reset(h.left.NextBatch)
 	return nil
 }
 
@@ -247,7 +242,7 @@ func (h *BatchHashJoin) fallBack(ec *ExecContext, err error) error {
 	}
 	ec.Governor().Note("hashjoin: memory budget trip, degraded to index strategy")
 	obs.GovernorDegradations.Inc()
-	h.fallback = Batching(fb, h.bsize)
+	h.fallback = fb
 	return nil
 }
 
@@ -359,7 +354,7 @@ func (h *BatchHashJoin) chainHasMatch(lrow []relation.Value, hash uint32, idx in
 	return false
 }
 
-// NextBatch implements BatchIterator: the probe loop, or the grace
+// NextBatch implements Iterator: the probe loop, or the grace
 // partition walk after a spill.
 func (h *BatchHashJoin) NextBatch() (*Batch, bool, error) {
 	if h.fallback != nil {
@@ -492,11 +487,6 @@ func (h *BatchHashJoin) drainChain(out *Batch) {
 	}
 }
 
-// Next implements Iterator through the batch cursor.
-func (h *BatchHashJoin) Next() ([]relation.Value, bool, error) {
-	return h.cur.next(h.NextBatch)
-}
-
 // resetBuild drops the arena and returns its governor charge, keeping
 // the allocations for reuse within this Open cycle.
 func (h *BatchHashJoin) resetBuild(ec *ExecContext) {
@@ -518,7 +508,6 @@ func (h *BatchHashJoin) SpillInfo() SpillStats { return h.spst }
 // spill run are released. After a fallback the index join owns the left
 // child and closes it.
 func (h *BatchHashJoin) Close() error {
-	h.cur.reset()
 	h.out = releaseBatch(h.out)
 	h.lc.reset(nil)
 	h.pendRow, h.pendIdx = nil, -1

@@ -42,7 +42,6 @@ type BatchScan struct {
 	pos  int
 	rows int
 	out  *Batch
-	cur  batchCursor
 }
 
 // NewBatchScan returns a batched full-table scan; size <= 0 means
@@ -60,11 +59,10 @@ func (s *BatchScan) Open(ec *ExecContext) error {
 	s.pos = 0
 	s.rows = s.table.Relation().Len()
 	s.out = ensureBatch(s.out, s.table.Scheme(), batchSize(s.size))
-	s.cur.reset()
 	return ec.Err("scan")
 }
 
-// NextBatch implements BatchIterator.
+// NextBatch implements Iterator.
 func (s *BatchScan) NextBatch() (*Batch, bool, error) {
 	if err := s.ec.Err("scan"); err != nil {
 		return nil, false, err
@@ -86,14 +84,8 @@ func (s *BatchScan) NextBatch() (*Batch, bool, error) {
 	return s.out, true, nil
 }
 
-// Next implements Iterator through the batch cursor.
-func (s *BatchScan) Next() ([]relation.Value, bool, error) {
-	return s.cur.next(s.NextBatch)
-}
-
 // Close implements Iterator.
 func (s *BatchScan) Close() error {
-	s.cur.reset()
 	s.out = releaseBatch(s.out)
 	return nil
 }
@@ -105,20 +97,17 @@ func (s *BatchScan) Close() error {
 type BatchFilter struct {
 	child Iterator
 	bound predicate.Bound
-	size  int
-
-	bchild BatchIterator
-	cur    batchCursor
 }
 
-// NewBatchFilter compiles p against the child's scheme; size <= 0 means
-// DefaultBatchSize for the adapter when the child is row-at-a-time.
+// NewBatchFilter compiles p against the child's scheme. A filter emits
+// its child's batches, so size is unused; it keeps the constructor in
+// line with the other operators.
 func NewBatchFilter(child Iterator, p predicate.Predicate, size int) (*BatchFilter, error) {
 	b, err := predicate.Bind(p, child.Scheme())
 	if err != nil {
 		return nil, fmt.Errorf("exec: filter: %w", err)
 	}
-	return &BatchFilter{child: child, bound: b, size: size}, nil
+	return &BatchFilter{child: child, bound: b}, nil
 }
 
 // Scheme implements Iterator.
@@ -129,15 +118,13 @@ func (f *BatchFilter) Open(ec *ExecContext) error {
 	if err := ec.Err("filter"); err != nil {
 		return err
 	}
-	f.bchild = Batching(f.child, batchSize(f.size))
-	f.cur.reset()
 	return f.child.Open(ec)
 }
 
-// NextBatch implements BatchIterator.
+// NextBatch implements Iterator.
 func (f *BatchFilter) NextBatch() (*Batch, bool, error) {
 	for {
-		b, ok, err := f.bchild.NextBatch()
+		b, ok, err := f.child.NextBatch()
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -156,13 +143,5 @@ func (f *BatchFilter) NextBatch() (*Batch, bool, error) {
 	}
 }
 
-// Next implements Iterator through the batch cursor.
-func (f *BatchFilter) Next() ([]relation.Value, bool, error) {
-	return f.cur.next(f.NextBatch)
-}
-
 // Close implements Iterator.
-func (f *BatchFilter) Close() error {
-	f.cur.reset()
-	return f.child.Close()
-}
+func (f *BatchFilter) Close() error { return f.child.Close() }

@@ -31,7 +31,6 @@ type BatchIndexJoin struct {
 	size     int
 
 	ec      *ExecContext
-	bleft   BatchIterator
 	lc      leftCursor
 	crow    []relation.Value // scratch concat row for the residual
 	fetched int64            // tuples fetched since the last flush
@@ -49,7 +48,6 @@ type BatchIndexJoin struct {
 	useSpans bool
 
 	out *Batch
-	cur batchCursor
 }
 
 // NewBatchIndexJoin probes inner's hash index on idxCol with the value
@@ -94,13 +92,10 @@ func (j *BatchIndexJoin) Open(ec *ExecContext) error {
 	if err := ec.Err("indexjoin"); err != nil {
 		return err
 	}
-	size := batchSize(j.size)
-	j.out = ensureBatch(j.out, j.scheme, size)
-	j.bleft = Batching(j.left, size)
+	j.out = ensureBatch(j.out, j.scheme, batchSize(j.size))
 	j.lc.reset(j.nextLeft)
 	j.pendRow, j.pendPositions, j.pendPos = nil, nil, 0
 	j.fetched = 0
-	j.cur.reset()
 	return j.left.Open(ec)
 }
 
@@ -116,7 +111,7 @@ func (j *BatchIndexJoin) residualHolds(lrow, irow []relation.Value) bool {
 	return j.residual.Holds(crow)
 }
 
-// NextBatch implements BatchIterator, flushing the amortized
+// NextBatch implements Iterator, flushing the amortized
 // retrieved-tuple count once per batch.
 func (j *BatchIndexJoin) NextBatch() (*Batch, bool, error) {
 	b, ok, err := j.nextBatch()
@@ -164,7 +159,7 @@ func (j *BatchIndexJoin) nextBatch() (*Batch, bool, error) {
 // nextLeft pulls the next left batch and resolves its probes through
 // the index's vectorized span lookup.
 func (j *BatchIndexJoin) nextLeft() (*Batch, bool, error) {
-	b, ok, err := j.bleft.NextBatch()
+	b, ok, err := j.left.NextBatch()
 	if ok {
 		if cap(j.spans) < b.Len() {
 			j.spans = make([]storage.IntSpan, b.Len())
@@ -238,14 +233,8 @@ func (j *BatchIndexJoin) drainPend(out *Batch) {
 	}
 }
 
-// Next implements Iterator through the batch cursor.
-func (j *BatchIndexJoin) Next() ([]relation.Value, bool, error) {
-	return j.cur.next(j.NextBatch)
-}
-
 // Close implements Iterator.
 func (j *BatchIndexJoin) Close() error {
-	j.cur.reset()
 	j.out = releaseBatch(j.out)
 	j.lc.reset(nil)
 	j.pendRow, j.pendPositions = nil, nil
@@ -280,7 +269,6 @@ type BatchNestedLoopJoin struct {
 	rrows  int
 
 	bsize int
-	bleft BatchIterator
 	lc    leftCursor
 
 	// The left row currently scanning the slab; emission resumes at
@@ -300,7 +288,6 @@ type BatchNestedLoopJoin struct {
 	slrow     []relation.Value
 	sdone     bool
 	smatched  bool
-	bright    BatchIterator
 	rightOpen bool
 	srb       *Batch // right batch suspended mid-emission
 	srpos     int
@@ -309,7 +296,6 @@ type BatchNestedLoopJoin struct {
 	spst SpillStats
 
 	out *Batch
-	cur batchCursor
 }
 
 // NewBatchNestedLoopJoin builds a nested-loop join with predicate p;
@@ -342,7 +328,6 @@ func (n *BatchNestedLoopJoin) Open(ec *ExecContext) error {
 	}
 	n.ec = ec
 	n.spst = SpillStats{}
-	n.cur.reset()
 	n.lc.reset(nil)
 	n.pendRow, n.pendChunk, n.pendOff, n.pendMatched = nil, 0, 0, false
 	n.stream, n.sdone, n.smatched = false, false, false
@@ -352,13 +337,11 @@ func (n *BatchNestedLoopJoin) Open(ec *ExecContext) error {
 	}
 	n.bsize = batchSize(n.size)
 	n.out = ensureBatch(n.out, n.scheme, n.bsize)
-	n.bleft = Batching(n.left, n.bsize)
-	n.bright = Batching(n.right, n.bsize)
 	if err := n.left.Open(ec); err != nil {
 		return err
 	}
-	n.lc.reset(n.bleft.NextBatch)
-	lb, ok, err := n.bleft.NextBatch()
+	n.lc.reset(n.left.NextBatch)
+	lb, ok, err := n.left.NextBatch()
 	if err != nil {
 		return err
 	}
@@ -370,7 +353,7 @@ func (n *BatchNestedLoopJoin) Open(ec *ExecContext) error {
 	}
 	if lb.Len() == 1 {
 		n.slrow = append(n.slrow[:0], lb.Row(0)...)
-		lb2, more, err := n.bleft.NextBatch()
+		lb2, more, err := n.left.NextBatch()
 		if err != nil {
 			return err
 		}
@@ -400,7 +383,7 @@ func (n *BatchNestedLoopJoin) buildRight(ec *ExecContext) error {
 		return err
 	}
 	for {
-		b, ok, err := n.bright.NextBatch()
+		b, ok, err := n.right.NextBatch()
 		if err != nil {
 			n.right.Close()
 			n.resetBuild(ec)
@@ -443,7 +426,7 @@ func (n *BatchNestedLoopJoin) spillRight(ec *ExecContext, trip *Batch) error {
 	for _, ch := range n.chunks {
 		prefix = append(prefix, ch.vals)
 	}
-	run, err := spillInput(ec, "nestedloop", n.bright, n.rwidth, append(prefix, trip.vals)...)
+	run, err := spillInput(ec, "nestedloop", n.right, n.rwidth, append(prefix, trip.vals)...)
 	if err != nil {
 		return err
 	}
@@ -472,7 +455,7 @@ func (n *BatchNestedLoopJoin) spillRight(ec *ExecContext, trip *Batch) error {
 			if done {
 				return nil, false, nil
 			}
-			return n.bleft.NextBatch()
+			return n.left.NextBatch()
 		}}
 	obs.GovernorDegradations.Inc()
 	ec.Governor().Note("nestedloop: memory budget trip, spilling inner input to disk")
@@ -493,7 +476,7 @@ type nlChunk struct {
 	rows int
 }
 
-// NextBatch implements BatchIterator: the probe loop.
+// NextBatch implements Iterator: the probe loop.
 func (n *BatchNestedLoopJoin) NextBatch() (*Batch, bool, error) {
 	if err := n.ec.Err("nestedloop"); err != nil {
 		return nil, false, err
@@ -558,7 +541,7 @@ func (n *BatchNestedLoopJoin) streamBatch() (*Batch, bool, error) {
 	n.jp.setLeft(lrow, n.rwidth)
 	for {
 		if n.srb == nil || n.srpos >= n.srb.Len() {
-			b, ok, err := n.bright.NextBatch()
+			b, ok, err := n.right.NextBatch()
 			if err != nil {
 				return nil, false, err
 			}
@@ -674,11 +657,6 @@ scan:
 	}
 }
 
-// Next implements Iterator through the batch cursor.
-func (n *BatchNestedLoopJoin) Next() ([]relation.Value, bool, error) {
-	return n.cur.next(n.NextBatch)
-}
-
 // resetBuild drops the slab and returns its governor charge, keeping
 // the allocation for reuse within this Open cycle.
 func (n *BatchNestedLoopJoin) resetBuild(ec *ExecContext) {
@@ -700,7 +678,6 @@ func (n *BatchNestedLoopJoin) SpillInfo() SpillStats { return n.spst }
 // Close implements Iterator: the slab (and its charge) and any spill run
 // are released.
 func (n *BatchNestedLoopJoin) Close() error {
-	n.cur.reset()
 	n.out = releaseBatch(n.out)
 	n.lc.reset(nil)
 	n.pendRow, n.srb = nil, nil

@@ -9,8 +9,8 @@ import (
 	"freejoin/internal/storage"
 )
 
-// Unit coverage for the batch layer itself: the null bitmap, the
-// row/batch adapter round-trip, boundary batch sizes, the spill paths a
+// Unit coverage for the batch layer itself: the null bitmap, boundary
+// batch sizes, the spill paths a
 // build trip takes, and the single-row stream mode of the nested-loop
 // join — with regression tests for the ownership bugs the vectorization
 // work surfaced (re-Open leaking a stale spill run, the peek leaving the
@@ -62,26 +62,21 @@ func TestBatchNullBitmap(t *testing.T) {
 	}
 }
 
-// TestBatchingAdapterRoundTrip drains the same input through the row
-// interface, the batch adapter, and a batch operator's row cursor, and
-// requires identical bags at awkward batch sizes (1, a non-divisor of
-// the input length, and one larger than the whole input).
-func TestBatchingAdapterRoundTrip(t *testing.T) {
+// TestBatchScanBatchSizes drains the same table at awkward batch sizes
+// (1, a non-divisor of the input length, and one larger than the whole
+// input): every batch is non-empty and within the size, and the bag is
+// the table's.
+func TestBatchScanBatchSizes(t *testing.T) {
 	rt, _ := contractTables(t)
-	ref, err := Collect(NewRelationScan(rt.Relation()), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, size := range []int{1, 2, 3, 100} {
-		// Row child behind the adapter, drained by batches.
 		var c Counters
-		a := Batching(NewRelationScan(rt.Relation()), size)
-		if err := a.Open(nil); err != nil {
+		s := NewBatchScan(rt, &c, size)
+		if err := s.Open(nil); err != nil {
 			t.Fatal(err)
 		}
-		got := relation.New(a.Scheme())
+		got := relation.New(s.Scheme())
 		for {
-			b, ok, err := a.NextBatch()
+			b, ok, err := s.NextBatch()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,20 +88,14 @@ func TestBatchingAdapterRoundTrip(t *testing.T) {
 			}
 			b.appendToRelation(got)
 		}
-		if err := a.Close(); err != nil {
+		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if !got.EqualBag(ref) {
-			t.Errorf("size %d: adapter bag differs (%d rows, want %d)", size, got.Len(), ref.Len())
+		if !got.EqualBag(rt.Relation()) {
+			t.Errorf("size %d: scan bag differs (%d rows, want %d)", size, got.Len(), rt.Relation().Len())
 		}
-
-		// Batch operator drained row by row through its cursor.
-		rows, err := Collect(NewBatchScan(rt, &c, size), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rows.EqualBag(ref) {
-			t.Errorf("size %d: BatchScan row cursor bag differs", size)
+		if c.TuplesRetrieved() != int64(rt.Relation().Len()) {
+			t.Errorf("size %d: %d tuples retrieved, want %d", size, c.TuplesRetrieved(), rt.Relation().Len())
 		}
 	}
 }
@@ -186,7 +175,8 @@ func TestBatchNestedLoopStreamMode(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			left := relation.FromRows("R", []string{"k"}, [][]any{{tc.leftKey}}...)
 			n, err := NewBatchNestedLoopJoin(
-				NewRelationScan(left), NewRelationScan(right), key, tc.mode, 8)
+				NewBatchScan(storage.NewTable("R", left), nil, 8),
+				NewBatchScan(storage.NewTable("S", right), nil, 8), key, tc.mode, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,7 +205,8 @@ func TestBatchNestedLoopStreamContract(t *testing.T) {
 	left := relation.FromRows("R", []string{"k"}, []any{2})
 	right := relation.FromRows("S", []string{"k"}, []any{1}, []any{2}, []any{2}, []any{3})
 	n, err := NewBatchNestedLoopJoin(
-		NewRelationScan(left), NewRelationScan(right),
+		NewBatchScan(storage.NewTable("R", left), nil, 4),
+		NewBatchScan(storage.NewTable("S", right), nil, 4),
 		predicate.Eq(relation.A("R", "k"), relation.A("S", "k")), LeftOuterMode, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +243,7 @@ func TestBatchReopenDropsStaleSpill(t *testing.T) {
 	if err := n.Open(ec); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := n.Next(); err != nil {
+	if _, _, err := n.NextBatch(); err != nil {
 		t.Fatal(err)
 	}
 	if n.SpillInfo().Runs == 0 {
@@ -264,7 +255,7 @@ func TestBatchReopenDropsStaleSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		_, ok, err := n.Next()
+		_, ok, err := n.NextBatch()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,8 +276,8 @@ func TestBatchReopenDropsStaleSpill(t *testing.T) {
 // still produce the right bag.
 func TestBatchNestedLoopTripSpillBalancesLeft(t *testing.T) {
 	rt, st := contractTables(t)
-	lf := storage.NewFaultTable(rt, storage.Fault{}).Iterator()
-	rf := storage.NewFaultTable(st, storage.Fault{}).Iterator()
+	lf := faultScan(rt, Fault{})
+	rf := faultScan(st, Fault{})
 	n, err := NewBatchNestedLoopJoin(lf, rf,
 		predicate.Eq(relation.A("R", "k"), relation.A("S", "k")), InnerMode, 2)
 	if err != nil {
@@ -305,7 +296,7 @@ func TestBatchNestedLoopTripSpillBalancesLeft(t *testing.T) {
 	if !got.EqualBag(want) {
 		t.Errorf("spilled bag differs:\n%v\nwant:\n%v", got, want)
 	}
-	for name, f := range map[string]*storage.FaultIterator{"left": lf, "right": rf} {
+	for name, f := range map[string]*faultIterator{"left": lf, "right": rf} {
 		if f.OpenCalls != f.CloseCalls {
 			t.Errorf("%s child leaked: opens=%d closes=%d", name, f.OpenCalls, f.CloseCalls)
 		}

@@ -13,7 +13,9 @@ import (
 //     (operators must fully reset internal state on re-Open);
 //  2. Close is idempotent;
 //  3. a Buffered operator reports zero buffered rows once closed (its
-//     materialized state must actually be released, not merely ignored).
+//     materialized state must actually be released, not merely ignored);
+//  4. every batch NextBatch hands out is non-empty, within its capacity,
+//     and over the operator's own scheme.
 
 // contractTables builds the shared inputs: R(k,v) with duplicate and null
 // keys, and S(k,w) with a hash index on k.
@@ -41,14 +43,15 @@ func contractCases(t *testing.T, rt, st *storage.Table, c *Counters) map[string]
 	for name, oc := range reg {
 		oc := oc
 		cases[name] = func() Iterator {
-			ch, _ := buildChildren(rt, st, oc.children, -1, storage.Fault{})
+			ch, _ := buildChildren(rt, st, oc.children, -1, Fault{})
 			return oc.build(t, ch)
 		}
 	}
 	return cases
 }
 
-// drainBag runs one full Open → drain → Close cycle.
+// drainBag runs one full Open → drain → Close cycle, checking the batch
+// invariants on every batch.
 func drainBag(t *testing.T, it Iterator) *relation.Relation {
 	t.Helper()
 	if err := it.Open(nil); err != nil {
@@ -56,18 +59,25 @@ func drainBag(t *testing.T, it Iterator) *relation.Relation {
 	}
 	out := relation.New(it.Scheme())
 	for {
-		row, ok, err := it.Next()
+		b, ok, err := it.NextBatch()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		// The ownership contract says row is only valid until the next
-		// Next/Close; retaining it across calls requires a copy. (The
-		// batch evaluators really do reuse the backing slab, so aliasing
-		// here corrupts the drained bag.)
-		out.AppendRaw(relation.CopyRow(row))
+		switch {
+		case b.Len() == 0:
+			t.Fatal("NextBatch reported ok with an empty batch")
+		case b.Len() > b.Cap():
+			t.Fatalf("batch holds %d rows, over its capacity %d", b.Len(), b.Cap())
+		case b.Scheme() != it.Scheme():
+			t.Fatalf("batch scheme %s is not the operator's %s", b.Scheme(), it.Scheme())
+		}
+		// The ownership contract says the batch is only valid until the
+		// next NextBatch/Close; retaining its rows requires a copy (the
+		// operators really do reuse their batches).
+		b.appendToRelation(out)
 	}
 	if err := it.Close(); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,9 @@
-// Package exec is the physical execution engine: Volcano-style iterators
-// over the storage layer, with scan/index-lookup accounting. The counter
-// of tuples retrieved from base tables is the cost measure of the paper's
-// Example 1 ("the first expression retrieves 2·10⁷+1 tuples, and the
-// second retrieves only 3").
+// Package exec is the physical execution engine: vectorized iterators
+// over the storage layer that hand rows up a batch at a time, with
+// scan/index-lookup accounting. The counter of tuples retrieved from base
+// tables is the cost measure of the paper's Example 1 ("the first
+// expression retrieves 2·10⁷+1 tuples, and the second retrieves only
+// 3").
 //
 // Every Open takes an *ExecContext (may be nil = ungoverned) carrying a
 // context.Context and an optional Governor, so cancellation, deadlines
@@ -13,18 +14,16 @@
 //
 // The error contract (enforced by faults_test.go for every operator):
 // an Open that returns an error has already closed any children it opened
-// and released any buffers and governor charges it acquired; after Next
-// returns an error the operator never calls a child's Next again; Close
-// is idempotent and always releases buffers and charges.
+// and released any buffers and governor charges it acquired; after
+// NextBatch returns an error the operator never calls a child's NextBatch
+// again; Close is idempotent and always releases buffers and charges.
 package exec
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 
-	"freejoin/internal/exec/spill"
 	"freejoin/internal/obs"
 	"freejoin/internal/relation"
 	"freejoin/internal/resource"
@@ -107,43 +106,29 @@ func (c *Counters) RowsProduced() int64 {
 	return c.rowsProduced.Load()
 }
 
-// IncTuples counts one base-table tuple retrieval.
-func (c *Counters) IncTuples() {
-	if c != nil {
-		c.tuplesRetrieved.Add(1)
-	}
-}
-
-// IncRows counts one row emitted by the plan root.
-func (c *Counters) IncRows() {
-	if c != nil {
-		c.rowsProduced.Add(1)
-	}
-}
-
-// AddTuples counts n base-table tuple retrievals — the per-batch
-// variant of IncTuples.
+// AddTuples counts n base-table tuple retrievals.
 func (c *Counters) AddTuples(n int64) {
 	if c != nil && n > 0 {
 		c.tuplesRetrieved.Add(n)
 	}
 }
 
-// AddRows counts n rows emitted by the plan root — the per-batch
-// variant of IncRows.
+// AddRows counts n rows emitted by the plan root.
 func (c *Counters) AddRows(n int64) {
 	if c != nil && n > 0 {
 		c.rowsProduced.Add(n)
 	}
 }
 
-// Iterator is the Volcano operator interface. Next returns the next row
-// and true, or false at end of stream. Rows must be treated as immutable
-// by consumers. Open accepts a nil ExecContext (ungoverned execution).
+// Iterator is the operator interface. NextBatch returns the next
+// non-empty batch of rows and true, or false at end of stream; the batch
+// belongs to the producer and is valid until the caller's next
+// NextBatch or Close on it (see Batch). Open accepts a nil ExecContext
+// (ungoverned execution).
 type Iterator interface {
 	Scheme() *relation.Scheme
 	Open(ec *ExecContext) error
-	Next() ([]relation.Value, bool, error)
+	NextBatch() (*Batch, bool, error)
 	Close() error
 }
 
@@ -165,19 +150,8 @@ type hold struct {
 	rows, bytes int64
 }
 
-// charge reserves one row against the budget on behalf of op.
-func (h *hold) charge(ec *ExecContext, op string, row []relation.Value) error {
-	b := rowBytes(row)
-	if err := ec.Reserve(op, 1, b); err != nil {
-		return err
-	}
-	h.rows++
-	h.bytes += b
-	return nil
-}
-
-// chargeN reserves rows/bytes in one governor call — the per-batch
-// variant of charge that amortizes the accounting over a whole batch.
+// chargeN reserves rows/bytes on behalf of op in one governor call, so
+// the accounting is amortized over a whole batch.
 func (h *hold) chargeN(ec *ExecContext, op string, rows, bytes int64) error {
 	if rows == 0 && bytes == 0 {
 		return nil
@@ -198,35 +172,6 @@ func (h *hold) release(ec *ExecContext) {
 	}
 }
 
-// arenaChunkRows is how many row copies share one rowArena slab.
-const arenaChunkRows = 1024
-
-// rowArena amortizes retained-row copies. Under the ownership contract
-// every buffered row must be a copy (the producer may reuse its
-// storage), and a per-row make puts one allocation on every build-side
-// row; the arena carves copies out of chunked slabs instead — one
-// allocation per arenaChunkRows rows. A chunk stays alive as long as
-// any row sliced from it does, so at most one chunk of slack outlives
-// the buffer that retained it.
-type rowArena struct {
-	free []relation.Value
-}
-
-// copyRow returns a stable copy of row carved from the arena.
-func (a *rowArena) copyRow(row []relation.Value) []relation.Value {
-	w := len(row)
-	if w == 0 {
-		return []relation.Value{}
-	}
-	if len(a.free) < w {
-		a.free = make([]relation.Value, arenaChunkRows*w)
-	}
-	dst := a.free[:w:w]
-	copy(dst, row)
-	a.free = a.free[w:]
-	return dst
-}
-
 // Collect drains an iterator into a relation, updating RowsProduced.
 // The iterator is always closed, including on mid-stream errors; a Close
 // error surfaces when the drain itself succeeded.
@@ -237,9 +182,8 @@ func Collect(it Iterator, c *Counters) (*relation.Relation, error) {
 // CollectCtx is Collect under an execution context: cancellation,
 // deadlines and memory budgets govern the drain. When counters are
 // attached the process-wide metrics absorb the execution's effort (rows
-// produced, tuples retrieved) on the way out, error or not — nested
-// drains that pass nil counters (a GOJ materializing its inputs) stay
-// out of the cumulative figures.
+// produced, tuples retrieved) on the way out, error or not; drains that
+// pass nil counters stay out of the cumulative figures.
 func CollectCtx(ec *ExecContext, it Iterator, c *Counters) (*relation.Relation, error) {
 	if c != nil {
 		t0 := c.TuplesRetrieved()
@@ -256,7 +200,7 @@ func CollectCtx(ec *ExecContext, it Iterator, c *Counters) (*relation.Relation, 
 		return nil, err
 	}
 	// The iterator must be closed on every exit — including a panic
-	// unwinding out of Next (an injected fault, a bug in an operator):
+	// unwinding out of NextBatch (an injected fault, a bug in an operator):
 	// Close releases governor charges, buffers and spill run files, so a
 	// session-level recover() finds nothing leaked.
 	closed := false
@@ -266,37 +210,18 @@ func CollectCtx(ec *ExecContext, it Iterator, c *Counters) (*relation.Relation, 
 		}
 	}()
 	out := relation.New(it.Scheme())
-	if bi, ok := it.(BatchIterator); ok {
-		// Batch drain: one NextBatch call and one slab copy per batch.
-		for {
-			b, ok, err := bi.NextBatch()
-			if err != nil {
-				closed = true
-				it.Close()
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			b.appendToRelation(out)
-			c.AddRows(int64(b.Len()))
+	for {
+		b, ok, err := it.NextBatch()
+		if err != nil {
+			closed = true
+			it.Close()
+			return nil, err
 		}
-	} else {
-		var arena rowArena
-		for {
-			row, ok, err := it.Next()
-			if err != nil {
-				closed = true
-				it.Close()
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			// The row is only valid until the next Next; keep a copy.
-			out.AppendRaw(arena.copyRow(row))
-			c.IncRows()
+		if !ok {
+			break
 		}
+		b.appendToRelation(out)
+		c.AddRows(int64(b.Len()))
 	}
 	closed = true
 	if err := it.Close(); err != nil {
@@ -307,8 +232,9 @@ func CollectCtx(ec *ExecContext, it Iterator, c *Counters) (*relation.Relation, 
 
 // IndexScan fetches only the rows of a table whose indexed column equals
 // a constant — the access path a pushed-down equality restriction earns
-// when the column has a hash index. Each fetched row counts as one
-// retrieved tuple.
+// when the column has a hash index. The hits are looked up at Open and
+// copied out a batch at a time; each fetched row counts as one retrieved
+// tuple.
 type IndexScan struct {
 	table    *storage.Table
 	index    *storage.HashIndex
@@ -317,7 +243,7 @@ type IndexScan struct {
 	ec       *ExecContext
 	rows     []int
 	pos      int
-	buf      []relation.Value
+	out      *Batch
 }
 
 // NewIndexScan builds an index scan on the table's hash index over col.
@@ -343,466 +269,27 @@ func (s *IndexScan) Open(ec *ExecContext) error {
 	return nil
 }
 
-// Next implements Iterator.
-func (s *IndexScan) Next() ([]relation.Value, bool, error) {
+// NextBatch implements Iterator.
+func (s *IndexScan) NextBatch() (*Batch, bool, error) {
 	if err := s.ec.Err("indexscan"); err != nil {
 		return nil, false, err
 	}
 	if s.pos >= len(s.rows) {
 		return nil, false, nil
 	}
-	if s.buf == nil {
-		s.buf = make([]relation.Value, s.table.Scheme().Len())
+	s.out = ensureBatch(s.out, s.table.Scheme(), DefaultBatchSize)
+	n := min(len(s.rows)-s.pos, DefaultBatchSize)
+	rel := s.table.Relation()
+	for _, r := range s.rows[s.pos : s.pos+n] {
+		s.out.AppendRow(rel.RawRow(r))
 	}
-	copy(s.buf, s.table.Relation().RawRow(s.rows[s.pos]))
-	s.pos++
-	if s.counters != nil {
-		s.counters.IncTuples()
-	}
-	return s.buf, true, nil
+	s.pos += n
+	s.counters.AddTuples(int64(n))
+	return s.out, true, nil
 }
 
 // Close implements Iterator.
-func (s *IndexScan) Close() error { return nil }
-
-// RelationScan iterates an in-memory relation that is not a catalog
-// table (e.g. a materialized intermediate); it does not count as base
-// tuple retrieval.
-type RelationScan struct {
-	rel *relation.Relation
-	ec  *ExecContext
-	pos int
-	buf []relation.Value
-}
-
-// NewRelationScan wraps a relation as an iterator.
-func NewRelationScan(rel *relation.Relation) *RelationScan {
-	return &RelationScan{rel: rel}
-}
-
-// Scheme implements Iterator.
-func (s *RelationScan) Scheme() *relation.Scheme { return s.rel.Scheme() }
-
-// Open implements Iterator.
-func (s *RelationScan) Open(ec *ExecContext) error {
-	s.ec = ec
-	s.pos = 0
-	return ec.Err("relationscan")
-}
-
-// Next implements Iterator.
-func (s *RelationScan) Next() ([]relation.Value, bool, error) {
-	if err := s.ec.Err("relationscan"); err != nil {
-		return nil, false, err
-	}
-	if s.pos >= s.rel.Len() {
-		return nil, false, nil
-	}
-	if s.buf == nil {
-		s.buf = make([]relation.Value, s.rel.Scheme().Len())
-	}
-	copy(s.buf, s.rel.RawRow(s.pos))
-	s.pos++
-	return s.buf, true, nil
-}
-
-// Close implements Iterator.
-func (s *RelationScan) Close() error { return nil }
-
-// Sort orders its input by the given columns (ascending, nulls first),
-// enabling merge joins and deterministic output. In memory it is a plain
-// materializing sort; when the governor trips the memory budget and the
-// context enables spilling, it becomes an external merge sort — sorted
-// runs are written to disk as the budget fills, reduced to at most
-// mergeFanIn runs by intermediate merge passes, and streamed through a
-// final k-way merge on Next.
-type Sort struct {
-	child Iterator
-	by    []int
-	ec    *ExecContext
-	held  hold
-	rows  [][]relation.Value
-	arena rowArena
-	pos   int
-
-	runs  []*spill.Run
-	merge *runMerge
-	spst  SpillStats
-}
-
-// mergeFanIn bounds the number of runs a single merge reads at once;
-// more runs than this are first reduced by intermediate merge passes.
-const mergeFanIn = 16
-
-// NewSort orders by the listed attributes of the child's scheme.
-func NewSort(child Iterator, by []relation.Attr) (*Sort, error) {
-	pos := make([]int, len(by))
-	for i, a := range by {
-		p := child.Scheme().IndexOf(a)
-		if p < 0 {
-			return nil, fmt.Errorf("exec: sort: attribute %s not in scheme %s", a, child.Scheme())
-		}
-		pos[i] = p
-	}
-	return &Sort{child: child, by: pos}, nil
-}
-
-// Scheme implements Iterator.
-func (s *Sort) Scheme() *relation.Scheme { return s.child.Scheme() }
-
-// Open implements Iterator.
-func (s *Sort) Open(ec *ExecContext) error {
-	s.held.release(s.ec) // re-Open without Close: drop any stale charge
-	s.reset(s.ec)        // ... and any stale spill state
-	s.ec = ec
-	s.spst = SpillStats{}
-	if err := ec.Err("sort"); err != nil {
-		return err
-	}
-	s.rows = s.rows[:0]
-	s.pos = 0
-	if err := s.child.Open(ec); err != nil {
-		s.child.Close()
-		return err
-	}
-	for {
-		row, ok, err := s.child.Next()
-		if err != nil {
-			return s.abort(ec, err)
-		}
-		if !ok {
-			break
-		}
-		if cerr := s.held.charge(ec, "sort", row); cerr != nil {
-			// Budget full: flush the buffer as a sorted run and retry. A
-			// retry failure means a single row exceeds the budget on its
-			// own — nothing left to spill.
-			if !spillable(ec, cerr) || len(s.rows) == 0 {
-				return s.abort(ec, cerr)
-			}
-			if serr := s.spillRun(ec); serr != nil {
-				return s.abort(ec, serr)
-			}
-			if cerr = s.held.charge(ec, "sort", row); cerr != nil {
-				return s.abort(ec, cerr)
-			}
-		}
-		s.rows = append(s.rows, s.arena.copyRow(row))
-	}
-	if err := s.child.Close(); err != nil {
-		return s.fail(ec, err)
-	}
-	if len(s.runs) == 0 {
-		s.sortRows() // everything fit: plain in-memory sort
-		return nil
-	}
-	// External path: spill the tail so the merge is uniform over runs,
-	// reduce to the merge fan-in, and stream the final pass on Next.
-	if len(s.rows) > 0 {
-		if err := s.spillRun(ec); err != nil {
-			return s.fail(ec, err)
-		}
-	}
-	if err := s.reduceRuns(ec); err != nil {
-		return s.fail(ec, err)
-	}
-	m, err := newRunMerge(s.runs, s.by)
-	if err != nil {
-		return s.fail(ec, err)
-	}
-	s.merge = m
-	s.spst.MergePasses++ // the final streaming pass
+func (s *IndexScan) Close() error {
+	s.out = releaseBatch(s.out)
 	return nil
-}
-
-// abort is the mid-drain error path: the child is closed and every
-// buffer, run and charge is released before err is returned.
-func (s *Sort) abort(ec *ExecContext, err error) error {
-	s.child.Close()
-	return s.fail(ec, err)
-}
-
-// fail releases everything Open accumulated and returns err.
-func (s *Sort) fail(ec *ExecContext, err error) error {
-	s.rows, s.pos = nil, 0
-	s.held.release(ec)
-	s.reset(ec)
-	return err
-}
-
-// reset drops spill state (runs and the merge) against ec.
-func (s *Sort) reset(ec *ExecContext) {
-	if s.merge != nil {
-		s.merge.Close()
-		s.merge = nil
-	}
-	for _, r := range s.runs {
-		r.Drop(ec)
-	}
-	s.runs = nil
-}
-
-// sortRows orders the in-memory buffer by the sort columns.
-func (s *Sort) sortRows() {
-	sort.SliceStable(s.rows, func(i, j int) bool {
-		return lessRows(s.rows[i], s.rows[j], s.by)
-	})
-}
-
-// spillRun sorts the buffer, writes it to a new run file, and releases
-// the buffer's governor charge (the rows now live on disk, charged
-// against the spill budget instead).
-func (s *Sort) spillRun(ec *ExecContext) error {
-	s.sortRows()
-	w, err := spill.NewWriter(ec, "sort")
-	if err != nil {
-		return err
-	}
-	for _, row := range s.rows {
-		if err := w.Append(row); err != nil {
-			w.Abort()
-			return err
-		}
-	}
-	run, err := w.Finish()
-	if err != nil {
-		return err
-	}
-	s.runs = append(s.runs, run)
-	s.spst.Runs++
-	s.spst.Bytes += run.Bytes
-	s.rows = s.rows[:0]
-	s.held.release(ec)
-	return nil
-}
-
-// reduceRuns merges groups of mergeFanIn runs into single longer runs
-// until at most mergeFanIn remain, counting one merge pass per sweep.
-func (s *Sort) reduceRuns(ec *ExecContext) error {
-	for len(s.runs) > mergeFanIn {
-		var next []*spill.Run
-		rest := s.runs
-		for len(rest) > 0 {
-			n := len(rest)
-			if n > mergeFanIn {
-				n = mergeFanIn
-			}
-			group := rest[:n]
-			merged, err := s.mergeToRun(ec, group)
-			if err != nil {
-				// Keep the live set consistent for cleanup by the caller.
-				s.runs = append(next, rest...)
-				return err
-			}
-			for _, r := range group {
-				r.Drop(ec)
-			}
-			rest = rest[n:]
-			next = append(next, merged)
-		}
-		s.runs = next
-		s.spst.MergePasses++
-	}
-	return nil
-}
-
-// mergeToRun merges a group of sorted runs into one new run file.
-func (s *Sort) mergeToRun(ec *ExecContext, group []*spill.Run) (*spill.Run, error) {
-	m, err := newRunMerge(group, s.by)
-	if err != nil {
-		return nil, err
-	}
-	defer m.Close()
-	w, err := spill.NewWriter(ec, "sort")
-	if err != nil {
-		return nil, err
-	}
-	for {
-		if err := ec.Err("sort"); err != nil {
-			w.Abort()
-			return nil, err
-		}
-		row, ok, err := m.Next()
-		if err != nil {
-			w.Abort()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if err := w.Append(row); err != nil {
-			w.Abort()
-			return nil, err
-		}
-	}
-	run, err := w.Finish()
-	if err != nil {
-		return nil, err
-	}
-	s.spst.Runs++
-	s.spst.Bytes += run.Bytes
-	return run, nil
-}
-
-// Next implements Iterator.
-func (s *Sort) Next() ([]relation.Value, bool, error) {
-	if s.merge != nil {
-		if err := s.ec.Err("sort"); err != nil {
-			return nil, false, err
-		}
-		return s.merge.Next()
-	}
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	row := s.rows[s.pos]
-	s.pos++
-	return row, true, nil
-}
-
-// Close implements Iterator: the materialized input is released (a Sort
-// that merely finished streaming would otherwise pin every input row for
-// the lifetime of the plan), run files are deleted and their spill-byte
-// charges returned.
-func (s *Sort) Close() error {
-	s.rows = nil
-	s.held.release(s.ec)
-	s.reset(s.ec)
-	return nil
-}
-
-// BufferedRows implements Buffered. In the external phase the in-memory
-// buffer is empty; the merge holds at most mergeFanIn head rows, which
-// are not counted (nor charged).
-func (s *Sort) BufferedRows() int { return len(s.rows) }
-
-// SpillInfo implements Spiller.
-func (s *Sort) SpillInfo() SpillStats { return s.spst }
-
-// lessRows compares rows on the given columns (Value.Compare order,
-// nulls first); the strict inequality keeps merges stable.
-func lessRows(a, b []relation.Value, by []int) bool {
-	for _, c := range by {
-		if cmp := a[c].Compare(b[c]); cmp != 0 {
-			return cmp < 0
-		}
-	}
-	return false
-}
-
-// runMerge is the k-way merge over sorted runs behind the external
-// sort's Next: every run contributes its head row, and each Next emits
-// the least head. With at most mergeFanIn runs, a linear scan of the
-// heads beats heap bookkeeping.
-type runMerge struct {
-	by    []int
-	rds   []*spill.Reader
-	heads [][]relation.Value // nil entry = run exhausted
-}
-
-// newRunMerge opens every run and primes the heads; on error whatever
-// was opened is closed again.
-func newRunMerge(runs []*spill.Run, by []int) (*runMerge, error) {
-	m := &runMerge{by: by}
-	for _, run := range runs {
-		rd, err := run.Open()
-		if err != nil {
-			m.Close()
-			return nil, err
-		}
-		m.rds = append(m.rds, rd)
-		head, ok, err := rd.Next(nil)
-		if err != nil {
-			m.Close()
-			return nil, err
-		}
-		if !ok {
-			head = nil
-		}
-		m.heads = append(m.heads, head)
-	}
-	return m, nil
-}
-
-// Next emits the least remaining row across all runs. Ties go to the
-// earliest run — runs are spilled in input order and sorted stably, so
-// the merge output is stable too.
-func (m *runMerge) Next() ([]relation.Value, bool, error) {
-	best := -1
-	for i, h := range m.heads {
-		if h == nil {
-			continue
-		}
-		if best < 0 || lessRows(h, m.heads[best], m.by) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return nil, false, nil
-	}
-	row := m.heads[best]
-	next, ok, err := m.rds[best].Next(nil)
-	if err != nil {
-		return nil, false, err
-	}
-	if ok {
-		m.heads[best] = next
-	} else {
-		m.heads[best] = nil
-	}
-	return row, true, nil
-}
-
-// Close releases every reader. The runs themselves belong to the Sort.
-func (m *runMerge) Close() {
-	for _, rd := range m.rds {
-		rd.Close()
-	}
-	m.rds, m.heads = nil, nil
-}
-
-// materialize drains an iterator into memory (used by blocking joins),
-// charging each buffered row to the governor on behalf of op when h is
-// non-nil. The child is closed on every path; on error the caller still
-// owns (and must release) whatever h accumulated.
-func materialize(it Iterator, ec *ExecContext, op string, h *hold) ([][]relation.Value, error) {
-	if err := it.Open(ec); err != nil {
-		it.Close()
-		return nil, err
-	}
-	var rows [][]relation.Value
-	var arena rowArena
-	for {
-		row, ok, err := it.Next()
-		if err != nil {
-			it.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if h != nil {
-			if err := h.charge(ec, op, row); err != nil {
-				it.Close()
-				return nil, err
-			}
-		}
-		rows = append(rows, arena.copyRow(row))
-	}
-	if err := it.Close(); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-func concatRows(a, b []relation.Value) []relation.Value {
-	out := make([]relation.Value, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
-}
-
-func padRight(a []relation.Value, n int) []relation.Value {
-	out := make([]relation.Value, len(a)+n)
-	copy(out, a)
-	return out
 }

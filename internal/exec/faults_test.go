@@ -9,17 +9,17 @@ import (
 
 	"freejoin/internal/predicate"
 	"freejoin/internal/relation"
-	"freejoin/internal/storage"
 )
 
 // The error-path contract, the fault-injection sibling of
 // contract_test.go. Every operator must:
 //
-//  1. propagate an injected child error (Open, mid-stream Next, Close)
+//  1. propagate an injected child error (Open, mid-stream NextBatch,
+//     Close)
 //     instead of hanging, panicking, or silently truncating;
 //  2. leave every child it opened closed once the operator itself is
 //     closed — including when a later step of its own Open failed;
-//  3. never call Next on a child that already returned an error;
+//  3. never call NextBatch on a child that already returned an error;
 //  4. release its buffers (BufferedRows == 0) and its governor charges
 //     after Close, error or not;
 //  5. fail fast with a typed *ResourceError when opened under a
@@ -38,7 +38,7 @@ func runCycle(it Iterator, ec *ExecContext) error {
 		return err
 	}
 	for {
-		_, ok, err := it.Next()
+		_, ok, err := it.NextBatch()
 		if err != nil {
 			it.Close()
 			return err
@@ -53,11 +53,11 @@ func runCycle(it Iterator, ec *ExecContext) error {
 // checkInvariants asserts the post-Close obligations: audited children
 // balanced and never Next-ed after an error, buffers released, governor
 // drained.
-func checkInvariants(t *testing.T, it Iterator, fis []*storage.FaultIterator, gov *Governor) {
+func checkInvariants(t *testing.T, it Iterator, fis []*faultIterator, gov *Governor) {
 	t.Helper()
 	for i, fi := range fis {
 		if fi.NextAfterError > 0 {
-			t.Errorf("child %d: %d Next calls after an error", i, fi.NextAfterError)
+			t.Errorf("child %d: %d NextBatch calls after an error", i, fi.NextAfterError)
 		}
 		if !fi.Balanced() {
 			t.Errorf("child %d leaked: opens=%d closes=%d", i, fi.OpenCalls, fi.CloseCalls)
@@ -77,21 +77,21 @@ func checkInvariants(t *testing.T, it Iterator, fis []*storage.FaultIterator, go
 }
 
 // TestErrorPathContract drives every operator over every child position
-// with faults on Open, on the first Next, mid-stream, on Close, and
+// with faults on Open, in the first batch, after it, on Close, and
 // probabilistically — asserting propagation and clean teardown each time.
 func TestErrorPathContract(t *testing.T) {
 	rt, st := contractTables(t)
 	var c Counters
 	faults := []struct {
 		name      string
-		f         storage.Fault
+		f         Fault
 		mustError bool
 	}{
-		{"open", storage.Fault{FailOpen: true}, true},
-		{"next-first", storage.Fault{FailNext: true, FailAfter: 0}, true},
-		{"next-midstream", storage.Fault{FailNext: true, FailAfter: 2}, true},
-		{"close", storage.Fault{FailClose: true}, true},
-		{"probabilistic", storage.Fault{Prob: 0.5, Seed: 1}, false},
+		{"open", Fault{FailOpen: true}, true},
+		{"next-first", Fault{FailNext: true, FailAfter: 0}, true},
+		{"next-midstream", Fault{FailNext: true, FailAfter: 2}, true},
+		{"close", Fault{FailClose: true}, true},
+		{"probabilistic", Fault{Prob: 0.5, Seed: 1}, false},
 	}
 	for name, fc := range operatorRegistry(t, rt, st, &c) {
 		for pos := 0; pos < fc.children; pos++ {
@@ -104,7 +104,7 @@ func TestErrorPathContract(t *testing.T) {
 					if fault.mustError && err == nil {
 						t.Errorf("injected %s fault on child %d was swallowed", fault.name, pos)
 					}
-					if err != nil && !errors.Is(err, storage.ErrInjected) {
+					if err != nil && !errors.Is(err, errInjected) {
 						t.Errorf("error lost its cause: %v", err)
 					}
 					checkInvariants(t, it, fis, gov)
@@ -124,7 +124,7 @@ func TestCancelledContextFailsFast(t *testing.T) {
 	cancel()
 	for name, fc := range operatorRegistry(t, rt, st, &c) {
 		t.Run(name, func(t *testing.T) {
-			ch, fis := buildChildren(rt, st, fc.children, -1, storage.Fault{})
+			ch, fis := buildChildren(rt, st, fc.children, -1, Fault{})
 			it := fc.build(t, ch)
 			gov := NewGovernor(0, 0)
 			err := runCycle(it, NewExecContext(ctx, gov))
@@ -166,13 +166,6 @@ func TestMemoryBudgetTrips(t *testing.T) {
 	rk := relation.A("R", "k")
 	sk := relation.A("S", "k")
 	builders := map[string]func(t *testing.T) (Iterator, string){
-		"sort": func(t *testing.T) (Iterator, string) {
-			s, err := NewSort(NewBatchScan(rt, nil, 0), []relation.Attr{rk})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s, "sort"
-		},
 		"hashjoin": func(t *testing.T) (Iterator, string) {
 			h, err := NewBatchHashJoin(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
 				[]relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, 0)
@@ -189,16 +182,20 @@ func TestMemoryBudgetTrips(t *testing.T) {
 			}
 			return n, "nestedloop"
 		},
-		"mergejoin": func(t *testing.T) (Iterator, string) {
-			m, err := NewMergeJoin(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0), rk, sk, InnerMode)
+		"goj": func(t *testing.T) (Iterator, string) {
+			// The equi GOJ's hash join builds before the tap sees a row.
+			g, err := NewGOJ(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
+				predicate.Eq(rk, sk), []relation.Attr{rk}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return m, "mergejoin"
+			return g, "hashjoin"
 		},
-		"goj": func(t *testing.T) (Iterator, string) {
-			g, err := NewHashGOJ(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
-				[]relation.Attr{rk}, []relation.Attr{sk}, []relation.Attr{rk})
+		"goj-projections": func(t *testing.T) (Iterator, string) {
+			// The theta GOJ's nested-loop join pulls its left input first,
+			// so the projection set trips before the inner build.
+			g, err := NewGOJ(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
+				predicate.Cmp(predicate.LtOp, predicate.Col(rk), predicate.Col(sk)), []relation.Attr{rk}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -327,16 +324,16 @@ func hasEvent(gov *Governor, substr string) bool {
 // swallowing it.
 func TestCollectClosesOnError(t *testing.T) {
 	rt, _ := contractTables(t)
-	fi := storage.NewFaultTable(rt, storage.Fault{FailNext: true, FailAfter: 1}).Iterator()
-	if _, err := Collect(fi, nil); !errors.Is(err, storage.ErrInjected) {
+	fi := faultScan(rt, Fault{FailNext: true, FailAfter: 2})
+	if _, err := Collect(fi, nil); !errors.Is(err, errInjected) {
 		t.Fatalf("mid-stream error lost: %v", err)
 	}
 	if !fi.Balanced() {
 		t.Error("Collect must close the iterator after a mid-stream error")
 	}
 
-	cf := storage.NewFaultTable(rt, storage.Fault{FailClose: true}).Iterator()
-	if _, err := Collect(cf, nil); !errors.Is(err, storage.ErrInjected) {
+	cf := faultScan(rt, Fault{FailClose: true})
+	if _, err := Collect(cf, nil); !errors.Is(err, errInjected) {
 		t.Fatalf("Close error swallowed: %v", err)
 	}
 }

@@ -3,199 +3,232 @@ package exec
 import (
 	"fmt"
 
+	"freejoin/internal/hashutil"
+	"freejoin/internal/predicate"
 	"freejoin/internal/relation"
 )
 
-// HashGOJ computes the generalized outerjoin GOJ[S][p](left, right) of
-// §6.2 with the "slightly modified join algorithm" the paper promises: a
-// hash join over the equi-keys that additionally tracks which distinct
-// S-projections of the left input appeared in at least one join row; at
-// end-of-stream the missing projections are emitted padded with nulls.
-type HashGOJ struct {
-	left, right Iterator
-	scheme      *relation.Scheme
-	lkeys       []int
-	rkeys       []int
-	spos        []int // S columns within the left scheme
-	soutPos     []int // S columns within the output scheme
-	mode        JoinMode
-
-	ec        *ExecContext
-	held      hold
-	table     map[string][][]relation.Value
-	tableRows int
-	matched   map[string]struct{}         // S-projections seen in join rows
-	all       map[string][]relation.Value // every distinct S-projection of the left input
-	order     []string                    // first-seen order of S-projections
-	pending   [][]relation.Value
-	tail      int  // index into order while draining unmatched projections
-	drained   bool // left input exhausted
+// GOJ computes the generalized outerjoin GOJ[S][p](left, right) of §6.2
+// with the "slightly modified join algorithm" the paper promises. The
+// join rows come from an inner join — BatchHashJoin for an equi
+// predicate, BatchNestedLoopJoin otherwise — whose left input passes
+// through a tap that records the distinct S-projection of every left
+// row. Each join row marks its S-projection as matched (S lies in the
+// left columns, which lead the output row). At end of stream the
+// projections that never matched are emitted padded with nulls.
+//
+// The inner join's memory-trip paths (grace hash partitions, the
+// nested-loop run scan) serve the GOJ unchanged. The projection set is
+// charged to the governor and has no spill path of its own.
+type GOJ struct {
+	join  Iterator
+	tap   *sTap
+	size  int
+	ec    *ExecContext
+	ended bool             // the join reported end of stream
+	tail  int              // next projection of the unmatched tail
+	prow  []relation.Value // scratch left row: nulls except at S
+	out   *Batch           // the unmatched tail's output batch
 }
 
-// NewHashGOJ builds the operator. s must be attributes of the left
-// scheme.
-func NewHashGOJ(left, right Iterator, leftKeys, rightKeys []relation.Attr, s []relation.Attr) (*HashGOJ, error) {
-	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
-		return nil, fmt.Errorf("exec: hash GOJ needs matching non-empty key lists")
-	}
-	sch, err := left.Scheme().Concat(right.Scheme())
-	if err != nil {
-		return nil, fmt.Errorf("exec: GOJ schemes overlap: %w", err)
-	}
-	g := &HashGOJ{left: left, right: right, scheme: sch, mode: InnerMode}
-	for _, a := range leftKeys {
-		p := left.Scheme().IndexOf(a)
-		if p < 0 {
-			return nil, fmt.Errorf("exec: GOJ key %s not in left scheme", a)
-		}
-		g.lkeys = append(g.lkeys, p)
-	}
-	for _, a := range rightKeys {
-		p := right.Scheme().IndexOf(a)
-		if p < 0 {
-			return nil, fmt.Errorf("exec: GOJ key %s not in right scheme", a)
-		}
-		g.rkeys = append(g.rkeys, p)
-	}
+// NewGOJ builds GOJ[s][p](left, right); s must be attributes of the
+// left scheme. size <= 0 means DefaultBatchSize.
+func NewGOJ(left, right Iterator, p predicate.Predicate, s []relation.Attr, size int) (*GOJ, error) {
+	tap := &sTap{src: left}
 	for _, a := range s {
-		p := left.Scheme().IndexOf(a)
-		if p < 0 {
+		pos := left.Scheme().IndexOf(a)
+		if pos < 0 {
 			return nil, fmt.Errorf("exec: GOJ projection attribute %s not in left scheme", a)
 		}
-		g.spos = append(g.spos, p)
-		g.soutPos = append(g.soutPos, sch.IndexOf(a))
+		tap.spos = append(tap.spos, pos)
+	}
+	g := &GOJ{tap: tap, size: size, prow: make([]relation.Value, left.Scheme().Len())}
+	if lk, rk, ok := predicate.EquiParts(p, left.Scheme(), right.Scheme()); ok {
+		hj, err := NewBatchHashJoin(tap, right, lk, rk, nil, InnerMode, size)
+		if err != nil {
+			return nil, err
+		}
+		g.join = hj
+	} else {
+		nl, err := NewBatchNestedLoopJoin(tap, right, p, InnerMode, size)
+		if err != nil {
+			return nil, err
+		}
+		g.join = nl
 	}
 	return g, nil
 }
 
 // Scheme implements Iterator.
-func (g *HashGOJ) Scheme() *relation.Scheme { return g.scheme }
+func (g *GOJ) Scheme() *relation.Scheme { return g.join.Scheme() }
 
 // Open implements Iterator.
-func (g *HashGOJ) Open(ec *ExecContext) error {
-	g.held.release(g.ec) // re-Open without Close: drop any stale charge
+func (g *GOJ) Open(ec *ExecContext) error {
+	g.tap.reset(g.ec) // re-Open without Close: drop stale projections + charge
 	g.ec = ec
+	g.ended, g.tail = false, 0
 	if err := ec.Err("goj"); err != nil {
 		return err
 	}
-	rows, err := materialize(g.right, ec, "goj", &g.held)
-	if err != nil {
-		g.held.release(ec)
-		return err
-	}
-	g.table = make(map[string][][]relation.Value, len(rows))
-	g.tableRows = 0
-	var buf []byte
-build:
-	for _, row := range rows {
-		buf = buf[:0]
-		for _, k := range g.rkeys {
-			if row[k].IsNull() {
-				continue build
-			}
-			buf = relation.AppendJoinKey(buf, row[k])
-		}
-		g.table[string(buf)] = append(g.table[string(buf)], row)
-		g.tableRows++
-	}
-	g.matched = map[string]struct{}{}
-	g.all = map[string][]relation.Value{}
-	g.order = nil
-	g.pending = nil
-	g.tail = 0
-	g.drained = false
-	if err := g.left.Open(ec); err != nil {
-		g.table = nil
-		g.tableRows = 0
-		g.held.release(ec)
+	if err := g.join.Open(ec); err != nil {
+		g.tap.reset(ec)
 		return err
 	}
 	return nil
 }
 
-// sKey computes the duplicate-free S-projection key of a left row.
-func (g *HashGOJ) sKey(lrow []relation.Value) string {
-	var buf []byte
-	for _, p := range g.spos {
-		buf = relation.AppendKey(buf, lrow[p])
+// NextBatch implements Iterator: the join's batches, each marking its
+// S-projections matched, then the unmatched projections padded.
+func (g *GOJ) NextBatch() (*Batch, bool, error) {
+	if err := g.ec.Err("goj"); err != nil {
+		return nil, false, err
 	}
-	return string(buf)
-}
-
-// Next implements Iterator.
-func (g *HashGOJ) Next() ([]relation.Value, bool, error) {
-	for {
-		if len(g.pending) > 0 {
-			out := g.pending[0]
-			g.pending = g.pending[1:]
-			return out, true, nil
-		}
-		if g.drained {
-			// Emit the S-projections that never joined, padded.
-			for g.tail < len(g.order) {
-				key := g.order[g.tail]
-				g.tail++
-				if _, ok := g.matched[key]; ok {
-					continue
-				}
-				proj := g.all[key]
-				row := make([]relation.Value, g.scheme.Len())
-				for i, dst := range g.soutPos {
-					row[dst] = proj[i]
-				}
-				return row, true, nil
-			}
-			return nil, false, nil
-		}
-		lrow, ok, err := g.left.Next()
+	t := g.tap
+	if !g.ended {
+		b, ok, err := g.join.NextBatch()
 		if err != nil {
 			return nil, false, err
 		}
-		if !ok {
-			g.drained = true
-			continue
-		}
-		skey := g.sKey(lrow)
-		if _, seen := g.all[skey]; !seen {
-			proj := make([]relation.Value, len(g.spos))
-			for i, p := range g.spos {
-				proj[i] = lrow[p]
+		if ok {
+			for i := 0; i < b.Len(); i++ {
+				if j := t.set.find(t.keyOf(b.Row(i))); j >= 0 {
+					t.matched[j] = true
+				}
 			}
-			// The S-projection set grows with the stream; charge it.
-			if err := g.held.charge(g.ec, "goj", proj); err != nil {
-				return nil, false, err
-			}
-			g.all[skey] = proj
-			g.order = append(g.order, skey)
+			return b, true, nil
 		}
-		var buf []byte
-		nullKey := false
-		for _, k := range g.lkeys {
-			if lrow[k].IsNull() {
-				nullKey = true
-				break
-			}
-			buf = relation.AppendJoinKey(buf, lrow[k])
-		}
-		if nullKey {
-			continue
-		}
-		for _, rrow := range g.table[string(buf)] {
-			g.matched[skey] = struct{}{}
-			g.pending = append(g.pending, concatRows(lrow, rrow))
+		g.ended = true
+		if err := t.drain(); err != nil {
+			return nil, false, err
 		}
 	}
+	g.out = ensureBatch(g.out, g.Scheme(), batchSize(g.size))
+	w := len(t.spos)
+	for ; g.tail < t.set.len() && !g.out.Full(); g.tail++ {
+		if t.matched[g.tail] {
+			continue
+		}
+		for i, p := range t.spos {
+			g.prow[p] = t.projs[g.tail*w+i]
+		}
+		g.out.AppendPad(g.prow)
+	}
+	if g.out.Len() == 0 {
+		return nil, false, nil
+	}
+	return g.out, true, nil
 }
 
-// BufferedRows implements Buffered.
-func (g *HashGOJ) BufferedRows() int { return g.tableRows + len(g.all) + len(g.pending) }
+// BufferedRows implements Buffered: the join's buffers plus the
+// projection set.
+func (g *GOJ) BufferedRows() int {
+	n := g.tap.set.len()
+	if b, ok := g.join.(Buffered); ok {
+		n += b.BufferedRows()
+	}
+	return n
+}
 
-// Close implements Iterator: the build table and S-projection sets (and
-// their governor charge) are released.
-func (g *HashGOJ) Close() error {
-	g.table, g.matched, g.all = nil, nil, nil
-	g.tableRows = 0
-	g.pending, g.order = nil, nil
-	g.held.release(g.ec)
-	return g.left.Close()
+// SpillInfo implements Spiller for the inner join.
+func (g *GOJ) SpillInfo() SpillStats { return g.join.(Spiller).SpillInfo() }
+
+// Close implements Iterator: the join (and through it both children),
+// the projection set and its governor charge are released.
+func (g *GOJ) Close() error {
+	g.out = releaseBatch(g.out)
+	err := g.join.Close()
+	g.tap.reset(g.ec)
+	g.tap.set = keySet{}
+	g.tap.projs, g.tap.matched = nil, nil
+	return err
+}
+
+// sTap is the GOJ's left input as the inner join sees it: batches pass
+// through unchanged, and each left row's S-projection is added to the
+// projection set when it is new, charged once per batch. Closing the
+// tap closes the child but keeps the set: a join may close its left
+// input before its last batch (the grace hash join does), and the GOJ
+// still needs the set for the unmatched tail.
+type sTap struct {
+	src  Iterator
+	spos []int // S columns within the left scheme
+
+	ec      *ExecContext
+	held    hold
+	set     keySet           // distinct S-projections, numbered by first sight
+	projs   []relation.Value // projection j is projs[j*len(spos):][:len(spos)]
+	matched []bool           // projection j appeared in a join row
+	kbuf    []byte
+	done    bool // src reported end of stream
+}
+
+// Scheme implements Iterator.
+func (t *sTap) Scheme() *relation.Scheme { return t.src.Scheme() }
+
+// Open implements Iterator.
+func (t *sTap) Open(ec *ExecContext) error {
+	t.ec, t.done = ec, false
+	return t.src.Open(ec)
+}
+
+// NextBatch implements Iterator.
+func (t *sTap) NextBatch() (*Batch, bool, error) {
+	b, ok, err := t.src.NextBatch()
+	if err != nil || !ok {
+		t.done = err == nil
+		return nil, false, err
+	}
+	var rows, bytes int64
+	w := len(t.spos)
+	for i := 0; i < b.Len(); i++ {
+		row := b.Row(i)
+		kb, hash := t.keyOf(row)
+		if t.set.find(kb, hash) >= 0 {
+			continue
+		}
+		t.set.add(kb, hash)
+		for _, p := range t.spos {
+			t.projs = append(t.projs, row[p])
+		}
+		t.matched = append(t.matched, false)
+		rows++
+		bytes += rowBytes(t.projs[len(t.projs)-w:])
+	}
+	if err := t.held.chargeN(t.ec, "goj", rows, bytes); err != nil {
+		return nil, false, err
+	}
+	return b, true, nil
+}
+
+// Close implements Iterator.
+func (t *sTap) Close() error { return t.src.Close() }
+
+// keyOf encodes row's S-projection and hashes it. Nulls encode like any
+// other value: the projection set eliminates duplicates, it does not
+// join on them.
+func (t *sTap) keyOf(row []relation.Value) ([]byte, uint32) {
+	kb := t.kbuf[:0]
+	for _, p := range t.spos {
+		kb = relation.AppendKey(kb, row[p])
+	}
+	t.kbuf = kb
+	return kb, hashutil.Sum32(kb)
+}
+
+// drain reads the rest of the left input, so that every left row's
+// projection is in the set even when the join stopped pulling early.
+func (t *sTap) drain() error {
+	for !t.done {
+		if _, _, err := t.NextBatch(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// reset empties the projection set and returns its governor charge.
+func (t *sTap) reset(ec *ExecContext) {
+	t.set.reset()
+	t.projs, t.matched = t.projs[:0], t.matched[:0]
+	t.held.release(ec)
 }

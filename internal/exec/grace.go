@@ -146,7 +146,7 @@ func (h *BatchHashJoin) dropGrace(ec *ExecContext) {
 // probe side is partitioned the same way, seeding one partition pair
 // per bucket. Nothing is read twice: the arena's rows are written from
 // memory and the right input continues where the build stopped.
-func (h *BatchHashJoin) openGrace(ec *ExecContext, bright BatchIterator, trip *Batch) error {
+func (h *BatchHashJoin) openGrace(ec *ExecContext, trip *Batch) error {
 	g := &graceJoin{parts: ec.Spill().Fanout(), maxDepth: ec.Spill().Recursion()}
 	h.grace = g
 	fail := func(err error, closeRight, closeLeft bool) error {
@@ -174,7 +174,7 @@ func (h *BatchHashJoin) openGrace(ec *ExecContext, bright BatchIterator, trip *B
 		if err := g.partitionBatch(ws, b, h.rkeys, 0, nil); err != nil {
 			return fail(err, true, false)
 		}
-		next, ok, err := bright.NextBatch()
+		next, ok, err := h.right.NextBatch()
 		if err != nil {
 			return fail(err, true, false)
 		}
@@ -210,7 +210,7 @@ func (h *BatchHashJoin) openGrace(ec *ExecContext, bright BatchIterator, trip *B
 		return fail(err, false, true)
 	}
 	for {
-		b, ok, err := h.bleft.NextBatch()
+		b, ok, err := h.left.NextBatch()
 		if err != nil {
 			return fail(err, false, true)
 		}

@@ -5,22 +5,21 @@ import (
 	"testing"
 
 	"freejoin/internal/relation"
-	"freejoin/internal/storage"
 )
 
-// The row-ownership contract, exercised to its legal extremes across
+// The batch-ownership contract, exercised to its legal extremes across
 // the whole operator registry:
 //
-//   - A producer's row (or batch) is valid only until the caller's next
-//     Next/NextBatch/Close on that producer. poisonIterator scribbles
-//     over every row and batch it handed out the moment the caller
-//     advances, so a parent that retained one by reference instead of
-//     copying surfaces the sentinel in its output bag. A scribbled
-//     batch is also refilled to full length — even by the call that
-//     reports end of stream — the way a filter compacting in place
-//     leaves the batch object, so a consumer that keeps probing a batch
-//     it no longer owns reads sentinel rows past its old cursor.
-//   - A caller MAY mutate a row it was handed (filters compact in
+//   - A producer's batch is valid only until the caller's next
+//     NextBatch/Close on that producer. poisonIterator scribbles over
+//     every batch it handed out the moment the caller advances, so a
+//     parent that retained rows by reference instead of copying surfaces
+//     the sentinel in its output bag. The scribbled batch is also
+//     refilled to full length — even by the call that reports end of
+//     stream — the way a filter compacting in place leaves the batch
+//     object, so a consumer that keeps probing a batch it no longer owns
+//     reads sentinel rows past its old cursor.
+//   - A caller MAY mutate a batch it was handed (filters compact in
 //     place). drainScribbled overwrites every received row after
 //     copying it, so a producer that re-reads rows it already emitted
 //     computes garbage and fails the bag comparison.
@@ -31,14 +30,12 @@ const poisonMark = "__POISON__"
 // contract input then ends on a short batch, which the refill lengthens.
 const poisonBatchSize = 2
 
-// poisonIterator wraps a child and scribbles over the row or batch it
-// handed out as soon as the caller advances or closes. The child's own
-// rows are copied first (scribbling the child's storage directly would
-// corrupt the base table, not test the parent).
+// poisonIterator wraps a child and scribbles over the batch it handed
+// out as soon as the caller advances or closes. The child's rows are
+// copied first (scribbling the child's batch directly would test the
+// child, not the parent).
 type poisonIterator struct {
 	child  Iterator
-	last   []relation.Value
-	bchild BatchIterator
 	out    *Batch // the batch handed out, owned by the poisoner
 	handed bool
 }
@@ -46,32 +43,28 @@ type poisonIterator struct {
 func (p *poisonIterator) Scheme() *relation.Scheme { return p.child.Scheme() }
 
 func (p *poisonIterator) Open(ec *ExecContext) error {
-	p.last, p.handed = nil, false
-	p.bchild = Batching(p.child, poisonBatchSize)
+	p.handed = false
 	return p.child.Open(ec)
 }
 
 func (p *poisonIterator) scribble() {
-	for i := range p.last {
-		p.last[i] = relation.Str(poisonMark)
+	if !p.handed {
+		return
 	}
-	p.last = nil
-	if p.handed {
-		row := make([]relation.Value, p.out.Width())
-		for i := range row {
-			row[i] = relation.Str(poisonMark)
-		}
-		p.out.Reset()
-		for !p.out.Full() {
-			p.out.AppendRow(row)
-		}
-		p.handed = false
+	row := make([]relation.Value, p.out.Width())
+	for i := range row {
+		row[i] = relation.Str(poisonMark)
 	}
+	p.out.Reset()
+	for !p.out.Full() {
+		p.out.AppendRow(row)
+	}
+	p.handed = false
 }
 
 func (p *poisonIterator) NextBatch() (*Batch, bool, error) {
 	p.scribble()
-	b, ok, err := p.bchild.NextBatch()
+	b, ok, err := p.child.NextBatch()
 	if err != nil || !ok {
 		return nil, ok, err
 	}
@@ -86,24 +79,14 @@ func (p *poisonIterator) NextBatch() (*Batch, bool, error) {
 	return p.out, true, nil
 }
 
-func (p *poisonIterator) Next() ([]relation.Value, bool, error) {
-	p.scribble()
-	row, ok, err := p.child.Next()
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	p.last = relation.CopyRow(row)
-	return p.last, true, nil
-}
-
 func (p *poisonIterator) Close() error {
 	p.scribble()
 	return p.child.Close()
 }
 
-// drainScribbled drains it, copying each row for the result bag and then
-// overwriting the producer's copy in place — the mutation a compacting
-// caller is allowed to make.
+// drainScribbled drains it, copying each batch for the result bag and
+// then overwriting the producer's rows in place — the mutation a
+// compacting caller is allowed to make.
 func drainScribbled(t *testing.T, it Iterator) *relation.Relation {
 	t.Helper()
 	if err := it.Open(nil); err != nil {
@@ -111,16 +94,19 @@ func drainScribbled(t *testing.T, it Iterator) *relation.Relation {
 	}
 	out := relation.New(it.Scheme())
 	for {
-		row, ok, err := it.Next()
+		b, ok, err := it.NextBatch()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		out.AppendRaw(relation.CopyRow(row))
-		for i := range row {
-			row[i] = relation.Str(poisonMark)
+		b.appendToRelation(out)
+		for i := 0; i < b.Len(); i++ {
+			row := b.Row(i)
+			for j := range row {
+				row[j] = relation.Str(poisonMark)
+			}
 		}
 	}
 	if err := it.Close(); err != nil {
@@ -150,12 +136,12 @@ func TestOwnershipRegistry(t *testing.T) {
 	for name, oc := range operatorRegistry(t, rt, st, &c) {
 		oc := oc
 		t.Run(name, func(t *testing.T) {
-			chRef, _ := buildChildren(rt, st, oc.children, -1, storage.Fault{})
+			chRef, _ := buildChildren(rt, st, oc.children, -1, Fault{})
 			ref := drainBag(t, oc.build(t, chRef))
 
 			// Probe 1: poisoned children. The wrapped fault iterators keep
 			// auditing the lifecycle underneath.
-			chP, _ := buildChildren(rt, st, oc.children, -1, storage.Fault{})
+			chP, _ := buildChildren(rt, st, oc.children, -1, Fault{})
 			for i := range chP {
 				chP[i] = &poisonIterator{child: chP[i]}
 			}
@@ -168,7 +154,7 @@ func TestOwnershipRegistry(t *testing.T) {
 
 			// Probe 2: a scribbling caller. Producers must never re-read
 			// rows they have already emitted.
-			chS, _ := buildChildren(rt, st, oc.children, -1, storage.Fault{})
+			chS, _ := buildChildren(rt, st, oc.children, -1, Fault{})
 			scribbled := drainScribbled(t, oc.build(t, chS))
 			if !ref.EqualBag(scribbled) {
 				t.Errorf("bag changed under a scribbling caller (operator re-read emitted rows):\nwant %d rows:\n%vgot %d rows:\n%v",

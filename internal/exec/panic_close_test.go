@@ -8,8 +8,8 @@ import (
 	"freejoin/internal/storage"
 )
 
-// A panic out of an operator's Next mid-collection (the adversarial
-// storage.Fault{Panic: true} case) must still close the iterator on the
+// A panic out of an operator's NextBatch mid-collection (the adversarial
+// Fault{Panic: true} case) must still close the iterator on the
 // unwind: the governor charges, buffers and spill state an open
 // iterator holds are released by Close, and the server's per-session
 // recovery above us depends on nothing leaking past the panic.
@@ -18,9 +18,7 @@ func TestCollectClosesIteratorOnPanic(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		rel.AppendRaw([]relation.Value{relation.Int(int64(i))})
 	}
-	ft := storage.NewFaultTable(storage.NewTable("R", rel),
-		storage.Fault{FailNext: true, FailAfter: 3, Panic: true})
-	fi := ft.Iterator()
+	fi := faultScan(storage.NewTable("R", rel), Fault{FailNext: true, FailAfter: 3, Panic: true})
 
 	gov := NewGovernor(0, 1<<20)
 	ec := NewExecContext(context.Background(), gov)
@@ -30,7 +28,7 @@ func TestCollectClosesIteratorOnPanic(t *testing.T) {
 		CollectCtx(ec, fi, nil)
 	}()
 	if recovered == nil {
-		t.Fatal("injected Next panic did not propagate")
+		t.Fatal("injected NextBatch panic did not propagate")
 	}
 	if !fi.Balanced() {
 		t.Fatalf("iterator not closed on panic unwind: opens=%d closes=%d",
@@ -46,8 +44,7 @@ func TestCollectClosesIteratorOnPanic(t *testing.T) {
 func TestCollectClosesOnceOnSuccess(t *testing.T) {
 	rel := relation.New(relation.SchemeOf("R", "k"))
 	rel.AppendRaw([]relation.Value{relation.Int(1)})
-	ft := storage.NewFaultTable(storage.NewTable("R", rel), storage.Fault{})
-	fi := ft.Iterator()
+	fi := faultScan(storage.NewTable("R", rel), Fault{})
 	if _, err := CollectCtx(NewExecContext(context.Background(), nil), fi, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -47,36 +47,21 @@ func operatorRegistry(t *testing.T, rt, st *storage.Table, c *Counters) map[stri
 	// that forces multiple refills (and suspended emission) over the
 	// 5-row inputs.
 	const bsz = 2
+	lt := predicate.Cmp(predicate.LtOp, predicate.Col(rk), predicate.Col(sk))
 	cases := map[string]opCase{
-		"relationscan": {0, func(t *testing.T, ch []Iterator) Iterator { return NewRelationScan(rt.Relation()) }},
 		"indexscan": {0, func(t *testing.T, ch []Iterator) Iterator {
 			return must(NewIndexScan(st, "k", relation.Int(2), c))
-		}},
-		"sort": {1, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewSort(ch[0], []relation.Attr{rk}))
-		}},
-		"mergejoin": {2, func(t *testing.T, ch []Iterator) Iterator {
-			// Merge join consumes sorted inputs; the sorts ride along so
-			// the faults also traverse a materializing middleman.
-			return must(NewMergeJoin(
-				must(NewSort(ch[0], []relation.Attr{rk})),
-				must(NewSort(ch[1], []relation.Attr{sk})), rk, sk, InnerMode))
-		}},
-		"hashgoj": {2, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewHashGOJ(ch[0], ch[1],
-				[]relation.Attr{rk}, []relation.Attr{sk}, []relation.Attr{rk, relation.A("R", "v")}))
 		}},
 		"semireduce-scan": {2, func(t *testing.T, ch []Iterator) Iterator {
 			// A non-equi semijoin lowers to the counted nested-loop join
 			// in SemiMode.
-			return must(NewSemiJoin(ch[0], ch[1],
-				predicate.Cmp(predicate.LtOp, predicate.Col(rk), predicate.Col(sk)), 0))
+			return must(NewSemiJoin(ch[0], ch[1], lt, 0))
 		}},
 		"instrumented": {1, func(t *testing.T, ch []Iterator) Iterator {
 			return Instrument(ch[0], "probe", c)
 		}},
 		"fault": {1, func(t *testing.T, ch []Iterator) Iterator {
-			return storage.NewFaultIterator(ch[0], storage.Fault{})
+			return newFaultIterator(ch[0], Fault{})
 		}},
 	}
 	for prefix, size := range map[string]int{"": 0, "batch": bsz} {
@@ -92,6 +77,15 @@ func operatorRegistry(t *testing.T, rt, st *storage.Table, c *Counters) map[stri
 		}}
 		cases[prefix+"indexjoin"] = opCase{1, func(t *testing.T, ch []Iterator) Iterator {
 			return must(NewBatchIndexJoin(ch[0], st, "k", rk, nil, InnerMode, c, size))
+		}}
+		// The generalized outerjoin over its two inner joins: hash for
+		// the equi predicate, nested loop for the theta one.
+		gojS := []relation.Attr{rk, relation.A("R", "v")}
+		cases[prefix+"hashgoj"] = opCase{2, func(t *testing.T, ch []Iterator) Iterator {
+			return must(NewGOJ(ch[0], ch[1], key, gojS, size))
+		}}
+		cases[prefix+"nlgoj"] = opCase{2, func(t *testing.T, ch []Iterator) Iterator {
+			return must(NewGOJ(ch[0], ch[1], lt, gojS, size))
 		}}
 		for suffix, mode := range map[string]JoinMode{
 			"": InnerMode, "-outer": LeftOuterMode, "-semi": SemiMode, "-anti": AntiMode,
@@ -110,16 +104,16 @@ func operatorRegistry(t *testing.T, rt, st *storage.Table, c *Counters) map[stri
 
 // buildChildren vends fault-wrapped scans: position at gets the fault,
 // the others are clean wrappers (so their lifecycle is audited too).
-func buildChildren(rt, st *storage.Table, n, at int, f storage.Fault) ([]Iterator, []*storage.FaultIterator) {
+func buildChildren(rt, st *storage.Table, n, at int, f Fault) ([]Iterator, []*faultIterator) {
 	tables := []*storage.Table{rt, st}
 	ch := make([]Iterator, n)
-	fis := make([]*storage.FaultIterator, n)
+	fis := make([]*faultIterator, n)
 	for i := 0; i < n; i++ {
-		cfg := storage.Fault{}
+		cfg := Fault{}
 		if i == at {
 			cfg = f
 		}
-		fi := storage.NewFaultTable(tables[i], cfg).Iterator()
+		fi := faultScan(tables[i], cfg)
 		ch[i], fis[i] = fi, fi
 	}
 	return ch, fis

@@ -191,7 +191,7 @@ func writeRows(wr *spill.Writer, vals []relation.Value, w int) error {
 // spillInput moves the rest of a build input to one run after a memory
 // trip: first the prefix slabs (rows already drained from src, width
 // values each), then every remaining batch of src.
-func spillInput(ec *ExecContext, op string, src BatchIterator, width int, prefix ...[]relation.Value) (*spill.Run, error) {
+func spillInput(ec *ExecContext, op string, src Iterator, width int, prefix ...[]relation.Value) (*spill.Run, error) {
 	w, err := spill.NewWriter(ec, op)
 	if err != nil {
 		return nil, err

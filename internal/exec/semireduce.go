@@ -36,19 +36,10 @@ type BatchSemiReduce struct {
 
 	ec   *ExecContext
 	held hold
-
-	keyBytes []byte
-	koff     []int32
-	hashes   []uint32
-	nkeys    int
-	heads    []int32
-	chain    []int32
-	mask     uint32
+	keys keySet
 
 	bsize int
-	bleft BatchIterator
 	kbuf  []byte
-	cur   batchCursor
 
 	scan *runScan // spilled right input after a budget trip
 	out  *Batch   // spill mode only: the run scan's output batch
@@ -70,7 +61,7 @@ func NewSemiJoin(left, right Iterator, p predicate.Predicate, size int) (Iterato
 		}
 		return s, nil
 	}
-	in := &rowCounter{src: Batching(left, size), c: obs.SemiReduceInputRows}
+	in := &rowCounter{src: left, c: obs.SemiReduceInputRows}
 	nl, err := NewBatchNestedLoopJoin(in, right, p, SemiMode, size)
 	if err != nil {
 		return nil, err
@@ -82,21 +73,17 @@ func NewSemiJoin(left, right Iterator, p predicate.Predicate, size int) (Iterato
 // batch's row count to c. It forwards Buffered and Spiller, so
 // instrumentation sees the wrapped operator's buffers and spill runs.
 type rowCounter struct {
-	src BatchIterator
+	src Iterator
 	c   *obs.Counter
-	cur batchCursor
 }
 
 // Scheme implements Iterator.
 func (r *rowCounter) Scheme() *relation.Scheme { return r.src.Scheme() }
 
 // Open implements Iterator.
-func (r *rowCounter) Open(ec *ExecContext) error {
-	r.cur.reset()
-	return r.src.Open(ec)
-}
+func (r *rowCounter) Open(ec *ExecContext) error { return r.src.Open(ec) }
 
-// NextBatch implements BatchIterator.
+// NextBatch implements Iterator.
 func (r *rowCounter) NextBatch() (*Batch, bool, error) {
 	b, ok, err := r.src.NextBatch()
 	if ok {
@@ -105,16 +92,8 @@ func (r *rowCounter) NextBatch() (*Batch, bool, error) {
 	return b, ok, err
 }
 
-// Next implements Iterator through the batch cursor.
-func (r *rowCounter) Next() ([]relation.Value, bool, error) {
-	return r.cur.next(r.NextBatch)
-}
-
 // Close implements Iterator.
-func (r *rowCounter) Close() error {
-	r.cur.reset()
-	return r.src.Close()
-}
+func (r *rowCounter) Close() error { return r.src.Close() }
 
 // BufferedRows implements Buffered for the wrapped operator.
 func (r *rowCounter) BufferedRows() int {
@@ -158,21 +137,17 @@ func (s *BatchSemiReduce) Open(ec *ExecContext) error {
 	s.resetKeys(s.ec) // re-Open without Close: drop stale set + charge
 	s.dropScan(s.ec)  // ... and any stale spill run
 	s.ec = ec
-	s.cur.reset()
 	s.spst = SpillStats{}
 	if err := ec.Err("semireduce"); err != nil {
 		return err
 	}
 	s.bsize = batchSize(s.size)
-	s.bleft = Batching(s.left, s.bsize)
-	bright := Batching(s.right, s.bsize)
 	if err := s.right.Open(ec); err != nil {
 		s.right.Close()
 		return err
 	}
-	s.rehash(16)
 	for {
-		b, ok, err := bright.NextBatch()
+		b, ok, err := s.right.NextBatch()
 		if err != nil {
 			s.right.Close()
 			s.resetKeys(ec)
@@ -181,13 +156,13 @@ func (s *BatchSemiReduce) Open(ec *ExecContext) error {
 		if !ok {
 			break
 		}
-		before := s.nkeys
+		before := s.keys.len()
 		newRows, newBytes := s.insertBatch(b)
 		// Charge only the retained (newly distinct) keys, once per batch.
 		if cerr := s.held.chargeN(ec, "semireduce", newRows, newBytes); cerr != nil {
 			if spillable(ec, cerr) {
-				s.truncateKeys(before)
-				cerr = s.spillRight(ec, bright, b)
+				s.keys.truncate(before)
+				cerr = s.spillRight(ec, b)
 			}
 			if cerr != nil {
 				s.right.Close()
@@ -209,7 +184,7 @@ func (s *BatchSemiReduce) Open(ec *ExecContext) error {
 		return err
 	}
 	if s.scan != nil {
-		s.scan.src = s.bleft.NextBatch
+		s.scan.src = s.left.NextBatch
 	}
 	return nil
 }
@@ -218,8 +193,8 @@ func (s *BatchSemiReduce) Open(ec *ExecContext) error {
 // tripped, then every remaining batch — to one run. The keys gathered
 // before the trip stay (charged) as a pre-check: a left row whose key is
 // there is matched without reading the run.
-func (s *BatchSemiReduce) spillRight(ec *ExecContext, bright BatchIterator, trip *Batch) error {
-	run, err := spillInput(ec, "semireduce", bright, s.right.Scheme().Len(), trip.vals)
+func (s *BatchSemiReduce) spillRight(ec *ExecContext, trip *Batch) error {
+	run, err := spillInput(ec, "semireduce", s.right, s.right.Scheme().Len(), trip.vals)
 	if err != nil {
 		return err
 	}
@@ -247,67 +222,12 @@ func (s *BatchSemiReduce) preMatch(b *Batch, matched []bool) int {
 	return n
 }
 
-// truncateKeys forgets every key inserted after the first n.
-func (s *BatchSemiReduce) truncateKeys(n int) {
-	if n == s.nkeys {
-		return
-	}
-	s.keyBytes = s.keyBytes[:s.koff[n]]
-	s.koff, s.hashes = s.koff[:n], s.hashes[:n]
-	s.nkeys = n
-	s.rehash(len(s.heads))
-}
-
 // dropScan releases the spill run and its scan state, if any.
 func (s *BatchSemiReduce) dropScan(ec *ExecContext) {
 	if s.scan != nil {
 		s.scan.drop(ec)
 		s.scan = nil
 	}
-}
-
-// rehash (re)builds the open-addressed index over the first nkeys keys
-// with at least n buckets.
-func (s *BatchSemiReduce) rehash(n int) {
-	for n < 16 || n < 2*s.nkeys {
-		n <<= 1
-	}
-	if cap(s.heads) >= n {
-		s.heads = s.heads[:n]
-	} else {
-		s.heads = make([]int32, n)
-	}
-	for i := range s.heads {
-		s.heads[i] = -1
-	}
-	s.mask = uint32(n - 1)
-	if cap(s.chain) >= s.nkeys {
-		s.chain = s.chain[:s.nkeys]
-	} else {
-		s.chain = append(s.chain[:cap(s.chain)], make([]int32, s.nkeys-cap(s.chain))...)
-	}
-	for i := 0; i < s.nkeys; i++ {
-		b := s.hashes[i] & s.mask
-		s.chain[i] = s.heads[b]
-		s.heads[b] = int32(i)
-	}
-}
-
-func (s *BatchSemiReduce) keyEnd(j int32) int32 {
-	if int(j)+1 < len(s.koff) {
-		return s.koff[j+1]
-	}
-	return int32(len(s.keyBytes))
-}
-
-// lookup reports whether the key in kb (with hash) is in the set.
-func (s *BatchSemiReduce) lookup(kb []byte, hash uint32) bool {
-	for j := s.heads[hash&s.mask]; j >= 0; j = s.chain[j] {
-		if s.hashes[j] == hash && string(s.keyBytes[s.koff[j]:s.keyEnd(j)]) == string(kb) {
-			return true
-		}
-	}
-	return false
 }
 
 // insertBatch adds a right batch's distinct non-null keys to the set,
@@ -332,22 +252,10 @@ func (s *BatchSemiReduce) insertBatch(b *Batch) (rows, bytes int64) {
 		}
 		s.kbuf = kb
 		hash := hashutil.Sum32(kb)
-		if s.lookup(kb, hash) {
+		if s.keys.find(kb, hash) >= 0 {
 			continue
 		}
-		start := len(s.keyBytes)
-		s.keyBytes = append(s.keyBytes, kb...)
-		s.koff = append(s.koff, int32(start))
-		s.hashes = append(s.hashes, hash)
-		j := int32(s.nkeys)
-		s.nkeys++
-		if 2*s.nkeys > len(s.heads) {
-			s.rehash(2 * len(s.heads))
-		} else {
-			bkt := hash & s.mask
-			s.chain = append(s.chain, s.heads[bkt])
-			s.heads[bkt] = j
-		}
+		s.keys.add(kb, hash)
 		rows++
 		bytes += rowBytes(row)
 	}
@@ -368,10 +276,10 @@ func (s *BatchSemiReduce) keyPresent(b *Batch, i int) bool {
 		kb = relation.AppendJoinKey(kb, row[k])
 	}
 	s.kbuf = kb
-	return s.lookup(kb, hashutil.Sum32(kb))
+	return s.keys.find(kb, hashutil.Sum32(kb)) >= 0
 }
 
-// NextBatch implements BatchIterator: left batches compacted in place,
+// NextBatch implements Iterator: left batches compacted in place,
 // or the run scan's output after a spill.
 func (s *BatchSemiReduce) NextBatch() (*Batch, bool, error) {
 	if err := s.ec.Err("semireduce"); err != nil {
@@ -389,7 +297,7 @@ func (s *BatchSemiReduce) NextBatch() (*Batch, bool, error) {
 		return s.out, true, nil
 	}
 	for {
-		b, ok, err := s.bleft.NextBatch()
+		b, ok, err := s.left.NextBatch()
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -411,23 +319,14 @@ func (s *BatchSemiReduce) NextBatch() (*Batch, bool, error) {
 	}
 }
 
-// Next implements Iterator through the batch cursor.
-func (s *BatchSemiReduce) Next() ([]relation.Value, bool, error) {
-	return s.cur.next(s.NextBatch)
-}
-
 // resetKeys drops the key set and returns its governor charge.
 func (s *BatchSemiReduce) resetKeys(ec *ExecContext) {
-	s.keyBytes = s.keyBytes[:0]
-	s.koff = s.koff[:0]
-	s.hashes = s.hashes[:0]
-	s.chain = s.chain[:0]
-	s.nkeys = 0
+	s.keys.reset()
 	s.held.release(ec)
 }
 
 // BufferedRows implements Buffered: the distinct keys held.
-func (s *BatchSemiReduce) BufferedRows() int { return s.nkeys }
+func (s *BatchSemiReduce) BufferedRows() int { return s.keys.len() }
 
 // SpillInfo implements Spiller.
 func (s *BatchSemiReduce) SpillInfo() SpillStats { return s.spst }
@@ -435,10 +334,9 @@ func (s *BatchSemiReduce) SpillInfo() SpillStats { return s.spst }
 // Close implements Iterator: the key set (and its charge) and any spill
 // run are released.
 func (s *BatchSemiReduce) Close() error {
-	s.cur.reset()
 	s.out = releaseBatch(s.out)
 	s.resetKeys(s.ec)
 	s.dropScan(s.ec)
-	s.keyBytes, s.koff, s.hashes, s.heads, s.chain = nil, nil, nil, nil, nil
+	s.keys = keySet{}
 	return s.left.Close()
 }

@@ -28,7 +28,7 @@ import (
 // instrumentCase builds an operator from the operator registry with every child
 // position individually instrumented, then instruments the root, so the
 // resulting StatsNode tree has real parent/child structure.
-func instrumentCase(t *testing.T, fc opCase, rt, st *storage.Table, c *Counters, at int, f storage.Fault) (*Instrumented, []*storage.FaultIterator) {
+func instrumentCase(t *testing.T, fc opCase, rt, st *storage.Table, c *Counters, at int, f Fault) (*Instrumented, []*faultIterator) {
 	t.Helper()
 	ch, fis := buildChildren(rt, st, fc.children, at, f)
 	nodes := make([]*StatsNode, fc.children)
@@ -43,7 +43,7 @@ func instrumentCase(t *testing.T, fc opCase, rt, st *storage.Table, c *Counters,
 // checkSpanTree asserts the four properties against the node tree.
 func checkSpanTree(t *testing.T, root *StatsNode, spans []obs.Span, start time.Time) {
 	t.Helper()
-	// Timer granularity: each Open/Next takes two time.Now readings, so
+	// Timer granularity: each Open/NextBatch takes two time.Now readings, so
 	// allow a generous fixed slack per comparison.
 	const tolerance = 2 * time.Millisecond
 
@@ -112,12 +112,12 @@ func TestSpanTreeProperty(t *testing.T) {
 	var c Counters
 	faults := []struct {
 		name string
-		f    storage.Fault
+		f    Fault
 	}{
-		{"clean", storage.Fault{}},
-		{"open", storage.Fault{FailOpen: true}},
-		{"next-first", storage.Fault{FailNext: true, FailAfter: 0}},
-		{"next-midstream", storage.Fault{FailNext: true, FailAfter: 2}},
+		{"clean", Fault{}},
+		{"open", Fault{FailOpen: true}},
+		{"next-first", Fault{FailNext: true, FailAfter: 0}},
+		{"next-midstream", Fault{FailNext: true, FailAfter: 2}},
 	}
 	for name, fc := range operatorRegistry(t, rt, st, &c) {
 		positions := fc.children

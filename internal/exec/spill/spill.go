@@ -1,6 +1,7 @@
 // Package spill implements governed spill-to-disk run files for the
-// external-memory execution paths: the external merge sort and the grace
-// hash join. A Writer streams rows into a temp file in a compact binary
+// external-memory execution paths: the grace hash join's partitions and
+// the spilled inner inputs of the nested-loop join and the semijoin
+// filter. A Writer streams rows into a temp file in a compact binary
 // encoding, charging the governor's spill-bytes budget as it goes;
 // Finish seals the file into a Run, which can be opened for sequential
 // re-reading any number of times and is deleted (and its byte charge

@@ -85,58 +85,6 @@ func spillInfo(t *testing.T, it Iterator) SpillStats {
 	return sp.SpillInfo()
 }
 
-func TestExternalSortSpill(t *testing.T) {
-	const size = 0
-	rt, _ := spillTables(t, 1000, 0)
-	by := []relation.Attr{relation.A("R", "k")}
-	mk := func() *Sort {
-		s, err := NewSort(NewBatchScan(rt, nil, size), by)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	want, err := Collect(mk(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Sanity: without spill this budget trips.
-	gov0 := NewGovernor(0, 512)
-	if _, err := CollectCtx(NewExecContext(context.Background(), gov0), mk(), nil); err == nil {
-		t.Fatal("512-byte budget without spill should trip")
-	}
-
-	ec, gov, dir := spillCtx(t, 512)
-	s := mk()
-	got, err := CollectCtx(ec, s, nil)
-	if err != nil {
-		t.Fatalf("spilling sort failed: %v", err)
-	}
-	if !want.EqualBag(got) {
-		t.Errorf("spilled sort bag differs: want %d rows, got %d", want.Len(), got.Len())
-	}
-	// Output must still be sorted on the key (nulls ordered consistently).
-	var prev relation.Value
-	for i := 0; i < got.Len(); i++ {
-		v := got.RawRow(i)[0]
-		if i > 0 && prev.Compare(v) > 0 {
-			t.Fatalf("row %d out of order: %v after %v", i, v, prev)
-		}
-		prev = v
-	}
-	sp := s.SpillInfo()
-	if !sp.Spilled() || sp.Runs < 2 {
-		t.Errorf("external sort should report multiple spilled runs, got %+v", sp)
-	}
-	// 1000 rows at ≤ ~6 rows per 512-byte run is far more than the merge
-	// fan-in, so intermediate passes must have happened.
-	if sp.MergePasses < 2 {
-		t.Errorf("expected intermediate merge passes, got %+v", sp)
-	}
-	checkSpillDrained(t, gov, dir)
-}
-
 func TestGraceHashJoinSpill(t *testing.T) {
 	rt, st := spillTables(t, 300, 300)
 	for _, mode := range []JoinMode{InnerMode, LeftOuterMode, SemiMode, AntiMode} {
@@ -266,80 +214,19 @@ func nestedLoopSpillCase(t *testing.T, rt, st *storage.Table, pred predicate.Pre
 	checkSpillDrained(t, gov, dir)
 }
 
-func TestMergeJoinSpill(t *testing.T) {
-	const size = 0
-	// Heavy duplicate keys so right-side groups overflow the budget.
-	r := relation.New(relation.SchemeOf("R", "k", "v"))
-	s := relation.New(relation.SchemeOf("S", "k", "w"))
-	rnd := rand.New(rand.NewSource(5))
-	for i := 0; i < 150; i++ {
-		k := relation.Int(int64(rnd.Intn(3)))
-		if rnd.Intn(11) == 0 {
-			k = relation.Null()
-		}
-		r.AppendRaw([]relation.Value{k, relation.Int(int64(i))})
-		s.AppendRaw([]relation.Value{k, relation.Int(int64(i * 3))})
-	}
-	rt, st := storage.NewTable("R", r), storage.NewTable("S", s)
-	rk := relation.A("R", "k")
-	sk := relation.A("S", "k")
-	for _, mode := range []JoinMode{InnerMode, LeftOuterMode} {
-		t.Run(mode.String(), func(t *testing.T) {
-			// Merge join needs sorted inputs; sort them via governed
-			// external sorts so the whole pipeline runs under the budget.
-			mkGov := func() (Iterator, *Sort, *MergeJoin) {
-				ls, err := NewSort(NewBatchScan(rt, nil, size), []relation.Attr{rk})
-				if err != nil {
-					t.Fatal(err)
-				}
-				rs, err := NewSort(NewBatchScan(st, nil, size), []relation.Attr{sk})
-				if err != nil {
-					t.Fatal(err)
-				}
-				m, err := NewMergeJoin(ls, rs, rk, sk, mode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return m, ls, m
-			}
-			it, _, _ := mkGov()
-			want, err := Collect(it, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ec, gov, dir := spillCtx(t, 600)
-			it2, ls, m := mkGov()
-			got, err := CollectCtx(ec, it2, nil)
-			if err != nil {
-				t.Fatalf("spilled merge join failed: %v", err)
-			}
-			if !want.EqualBag(got) {
-				t.Errorf("spilled merge bag differs: want %d rows, got %d", want.Len(), got.Len())
-			}
-			if sp := ls.SpillInfo(); !sp.Spilled() {
-				t.Errorf("feeding sort should have spilled, got %+v", sp)
-			}
-			if sp := m.SpillInfo(); !sp.Spilled() {
-				t.Errorf("merge join should have spilled a duplicate-key group, got %+v", sp)
-			}
-			checkSpillDrained(t, gov, dir)
-		})
-	}
-}
-
 // TestSpillBudgetExceeded: the spill-bytes budget is itself governed;
 // when it is too small the run must abort with a typed SpillExceeded
 // error and still clean up every file and reservation.
 func TestSpillBudgetExceeded(t *testing.T) {
-	const size = 0
-	rt, _ := spillTables(t, 1000, 0)
-	s, err := NewSort(NewBatchScan(rt, nil, size), []relation.Attr{relation.A("R", "k")})
+	rt, st := spillTables(t, 1000, 1000)
+	h, err := NewBatchHashJoin(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
+		[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")}, nil, InnerMode, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ec, gov, dir := spillCtx(t, 512)
-	gov.SetSpillLimit(2048) // a fraction of what 1000 rows need
-	_, cerr := CollectCtx(ec, s, nil)
+	gov.SetSpillLimit(2048) // a fraction of what 1000 build rows need
+	_, cerr := CollectCtx(ec, h, nil)
 	var re *ResourceError
 	if !errors.As(cerr, &re) || re.Kind != SpillExceeded {
 		t.Fatalf("want SpillExceeded, got %v", cerr)
@@ -357,11 +244,11 @@ func TestFailedOpenDrainsGovernor(t *testing.T) {
 	var c Counters
 	faults := []struct {
 		name string
-		f    storage.Fault
+		f    Fault
 	}{
-		{"open", storage.Fault{FailOpen: true}},
-		{"next-first", storage.Fault{FailNext: true, FailAfter: 0}},
-		{"next-midstream", storage.Fault{FailNext: true, FailAfter: 2}},
+		{"open", Fault{FailOpen: true}},
+		{"next-first", Fault{FailNext: true, FailAfter: 0}},
+		{"next-midstream", Fault{FailNext: true, FailAfter: 2}},
 	}
 	for name, fc := range operatorRegistry(t, rt, st, &c) {
 		for pos := 0; pos < fc.children; pos++ {
@@ -394,22 +281,14 @@ func TestFailedOpenDrainsGovernor(t *testing.T) {
 }
 
 // TestTripDuringOpenCloseSafe: every buffering operator whose Open (or
-// first Next) trips a 1-row budget must survive Close — twice — with
-// buffers released and the governor drained. Guards the Sort mid-build
-// trip regression.
+// first NextBatch) trips a 1-row budget must survive Close — twice —
+// with buffers released and the governor drained.
 func TestTripDuringOpenCloseSafe(t *testing.T) {
 	const size = 0
 	rt, st := contractTables(t)
 	rk := relation.A("R", "k")
 	sk := relation.A("S", "k")
 	builders := map[string]func(t *testing.T) Iterator{
-		"sort": func(t *testing.T) Iterator {
-			s, err := NewSort(NewBatchScan(rt, nil, size), []relation.Attr{rk})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
 		"nestedloop": func(t *testing.T) Iterator {
 			n, err := NewBatchNestedLoopJoin(NewBatchScan(rt, nil, size), NewBatchScan(st, nil, size),
 				predicate.Eq(rk, sk), InnerMode, size)
@@ -418,16 +297,9 @@ func TestTripDuringOpenCloseSafe(t *testing.T) {
 			}
 			return n
 		},
-		"mergejoin": func(t *testing.T) Iterator {
-			m, err := NewMergeJoin(NewBatchScan(rt, nil, size), NewBatchScan(st, nil, size), rk, sk, InnerMode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return m
-		},
 		"goj": func(t *testing.T) Iterator {
-			g, err := NewHashGOJ(NewBatchScan(rt, nil, size), NewBatchScan(st, nil, size),
-				[]relation.Attr{rk}, []relation.Attr{sk}, []relation.Attr{rk})
+			g, err := NewGOJ(NewBatchScan(rt, nil, size), NewBatchScan(st, nil, size),
+				predicate.Eq(rk, sk), []relation.Attr{rk}, size)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -453,7 +325,7 @@ func TestTripDuringOpenCloseSafe(t *testing.T) {
 			if err == nil {
 				// Streaming operators trip at Next instead.
 				for {
-					_, ok, nerr := it.Next()
+					_, ok, nerr := it.NextBatch()
 					if nerr != nil {
 						err = nerr
 						break
@@ -491,7 +363,7 @@ func TestTripDuringOpenCloseSafe(t *testing.T) {
 func TestSpillFaultOracle(t *testing.T) {
 	rt, st := contractTables(t)
 	var c Counters
-	faults := []storage.Fault{
+	faults := []Fault{
 		{},
 		{FailOpen: true},
 		{FailNext: true, FailAfter: 0},
@@ -502,7 +374,7 @@ func TestSpillFaultOracle(t *testing.T) {
 	}
 	for name, fc := range operatorRegistry(t, rt, st, &c) {
 		// Clean reference bag, in memory and ungoverned.
-		chRef, _ := buildChildren(rt, st, fc.children, -1, storage.Fault{})
+		chRef, _ := buildChildren(rt, st, fc.children, -1, Fault{})
 		ref, err := Collect(fc.build(t, chRef), nil)
 		if err != nil {
 			t.Fatalf("%s: clean run failed: %v", name, err)
@@ -520,11 +392,11 @@ func TestSpillFaultOracle(t *testing.T) {
 							t.Errorf("fault %d: spilled bag differs from clean in-memory run\nwant %d rows, got %d",
 								fi, ref.Len(), got.Len())
 						}
-					} else if !errors.Is(err, storage.ErrInjected) &&
+					} else if !errors.Is(err, errInjected) &&
 						!(errors.As(err, &re) && re.Kind == MemoryExceeded) {
-						// Operators without a spill path (hash GOJ) may trip
-						// the budget; that is a typed, clean failure, not an
-						// oracle violation.
+						// State without a spill path (the GOJ's projection
+						// set) may trip the budget; that is a typed, clean
+						// failure, not an oracle violation.
 						t.Errorf("fault %d: error is neither injected nor a typed trip: %v", fi, err)
 					}
 					checkInvariants(t, it, fis, gov)

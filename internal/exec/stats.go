@@ -14,12 +14,14 @@ import (
 // effort (tuples, rows, time, memory) was actually spent.
 //
 // TuplesRetrieved and WallTime are inclusive of the operator's subtree:
-// a parent's Next covers the child Next calls it triggers. Exclusive
-// ("self") figures are derived by StatsNode.SelfTuples / SelfTime.
+// a parent's NextBatch covers the child NextBatch calls it triggers.
+// Exclusive ("self") figures are derived by StatsNode.SelfTuples /
+// SelfTime.
 type Stats struct {
 	// Opens counts Open calls (re-opens included).
 	Opens int64
-	// NextCalls counts Next calls, including the final end-of-stream one.
+	// NextCalls counts NextBatch calls, including the final end-of-stream
+	// one.
 	NextCalls int64
 	// RowsOut counts rows this operator emitted.
 	RowsOut int64
@@ -27,11 +29,11 @@ type Stats struct {
 	// subtree while it ran (scans, index scans and index-join lookups).
 	TuplesRetrieved int64
 	// PeakBuffered is the largest number of rows the operator held
-	// materialized at once (sorts, hash tables, join buffers); zero for
+	// materialized at once (hash tables, join buffers); zero for
 	// streaming operators.
 	PeakBuffered int64
-	// WallTime is the total time spent inside Open and Next, children
-	// included.
+	// WallTime is the total time spent inside Open and NextBatch,
+	// children included.
 	WallTime time.Duration
 	// Spill counts the operator's spill-to-disk activity (zero unless a
 	// budget trip moved it to the external path).
@@ -39,8 +41,9 @@ type Stats struct {
 }
 
 // SpillStats counts one operator's spill-to-disk activity: run files
-// written, grace-hash partitions created, bytes encoded to disk, and
-// external-sort merge passes (the final streaming pass included).
+// written, grace-hash partitions created and bytes encoded to disk.
+// MergePasses is always zero: no operator merges sorted runs. It stays
+// because the served benchmark reports it.
 type SpillStats struct {
 	Runs        int64
 	Partitions  int64
@@ -52,7 +55,7 @@ type SpillStats struct {
 func (s SpillStats) Spilled() bool { return s.Runs > 0 || s.Partitions > 0 }
 
 // Spiller is implemented by operators with an external-memory path
-// (external sort, grace hash join, spilling nested-loop join);
+// (grace hash join, spilling nested-loop join and semijoin filter);
 // SpillInfo reports the activity of the current/latest Open cycle so
 // instrumentation can surface it in EXPLAIN ANALYZE.
 type Spiller interface {
@@ -66,16 +69,17 @@ type Spiller interface {
 type StatsNode struct {
 	Label string
 	// EstRows and EstCost are the optimizer's estimates for this node;
-	// EstRows < 0 means no estimate is attached (auxiliary operators such
-	// as the sorts a merge join inserts).
+	// EstRows < 0 means no estimate is attached (an operator instrumented
+	// outside the optimizer).
 	EstRows float64
 	EstCost float64
 
 	Stats    Stats
 	Children []*StatsNode
 
-	// Err is the first error this operator surfaced (from Open or Next),
-	// so an aborted EXPLAIN ANALYZE can point at the failing node.
+	// Err is the first error this operator surfaced (from Open or
+	// NextBatch), so an aborted EXPLAIN ANALYZE can point at the failing
+	// node.
 	Err error
 }
 
@@ -127,17 +131,20 @@ func (n *StatsNode) walk(depth int, f func(depth int, n *StatsNode)) {
 	}
 }
 
-// Buffered is implemented by operators that materialize rows (sorts, hash
-// and merge joins); BufferedRows reports how many rows are currently held
-// so the instrumentation can track peak memory pressure, and the iterator
-// contract can assert buffers are released on Close.
+// Buffered is implemented by operators that materialize rows (hash
+// tables, join buffers, key sets); BufferedRows reports how many rows
+// are currently held so the instrumentation can track peak memory
+// pressure, and the iterator contract can assert buffers are released
+// on Close.
 type Buffered interface {
 	BufferedRows() int
 }
 
-// Instrumented wraps an iterator and records per-call statistics into a
-// StatsNode. Instrumentation is strictly opt-in: an uninstrumented plan
-// contains no wrappers and pays no cost (see BenchmarkStatsOverhead).
+// Instrumented wraps an iterator and records per-batch statistics into
+// a StatsNode: one NextCalls tick and one RowsOut += Len per batch, so
+// instrumentation adds no per-row cost. It is strictly opt-in: an
+// uninstrumented plan contains no wrappers and pays no cost (see
+// BenchmarkStatsOverhead).
 type Instrumented struct {
 	child    Iterator
 	buffered Buffered // child, if it materializes rows; else nil
@@ -190,26 +197,26 @@ func (w *Instrumented) Open(ec *ExecContext) error {
 	return w.noteErr(err)
 }
 
-// Next implements Iterator.
-func (w *Instrumented) Next() ([]relation.Value, bool, error) {
+// NextBatch implements Iterator.
+func (w *Instrumented) NextBatch() (*Batch, bool, error) {
 	start := time.Now()
 	var t0 int64
 	if w.counters != nil {
 		t0 = w.counters.TuplesRetrieved()
 	}
-	row, ok, err := w.child.Next()
+	b, ok, err := w.child.NextBatch()
 	if w.counters != nil {
 		w.node.Stats.TuplesRetrieved += w.counters.TuplesRetrieved() - t0
 	}
 	w.node.Stats.WallTime += time.Since(start)
 	w.node.Stats.NextCalls++
 	if ok {
-		w.node.Stats.RowsOut++
+		w.node.Stats.RowsOut += int64(b.Len())
 	}
 	if w.buffered != nil || w.spiller != nil {
 		w.observeBuffer()
 	}
-	return row, ok, w.noteErr(err)
+	return b, ok, w.noteErr(err)
 }
 
 // noteErr records the first error crossing this wrapper and, for typed
@@ -232,50 +239,6 @@ func (w *Instrumented) noteErr(err error) error {
 
 // Close implements Iterator.
 func (w *Instrumented) Close() error { return w.child.Close() }
-
-// BatchInstrumented is Instrumented over a batch-capable child: it
-// preserves the NextBatch fast path, recording per-batch stat deltas
-// (one NextCalls tick and one RowsOut += Len per batch) so
-// instrumentation does not reintroduce the per-row costs batching
-// removed.
-type BatchInstrumented struct {
-	*Instrumented
-	bchild BatchIterator
-}
-
-// NextBatch implements BatchIterator.
-func (w *BatchInstrumented) NextBatch() (*Batch, bool, error) {
-	start := time.Now()
-	var t0 int64
-	if w.counters != nil {
-		t0 = w.counters.TuplesRetrieved()
-	}
-	b, ok, err := w.bchild.NextBatch()
-	if w.counters != nil {
-		w.node.Stats.TuplesRetrieved += w.counters.TuplesRetrieved() - t0
-	}
-	w.node.Stats.WallTime += time.Since(start)
-	w.node.Stats.NextCalls++
-	if ok {
-		w.node.Stats.RowsOut += int64(b.Len())
-	}
-	if w.buffered != nil || w.spiller != nil {
-		w.observeBuffer()
-	}
-	return b, ok, w.noteErr(err)
-}
-
-// InstrumentIterator is Instrument preserving the child's batch
-// capability: a BatchIterator child comes back wrapped as a
-// BatchIterator, anything else as the plain row wrapper. The returned
-// StatsNode is the entry the wrapper records into.
-func InstrumentIterator(child Iterator, label string, c *Counters, children ...*StatsNode) (Iterator, *StatsNode) {
-	w := Instrument(child, label, c, children...)
-	if bc, ok := child.(BatchIterator); ok {
-		return &BatchInstrumented{Instrumented: w, bchild: bc}, w.Node()
-	}
-	return w, w.Node()
-}
 
 func (w *Instrumented) observeBuffer() {
 	if w.buffered != nil {

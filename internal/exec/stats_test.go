@@ -55,9 +55,10 @@ func TestInstrumentStats(t *testing.T) {
 	if !n.Executed() || n.Stats.Opens != 1 {
 		t.Errorf("join Opens = %d, want 1", n.Stats.Opens)
 	}
-	// NextCalls includes the end-of-stream call.
-	if got := n.Stats.NextCalls; got != int64(out.Len())+1 {
-		t.Errorf("join NextCalls = %d, want %d", got, out.Len()+1)
+	// The join rows fit one default-size batch: NextCalls counts that
+	// batch and the end-of-stream call.
+	if got := n.Stats.NextCalls; got != 2 {
+		t.Errorf("join NextCalls = %d, want 2", got)
 	}
 }
 
@@ -150,14 +151,14 @@ func TestInstrumentStatsResetOnReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 		for {
-			_, ok, err := root.Next()
+			b, ok, err := root.NextBatch()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !ok {
 				break
 			}
-			rows++
+			rows += b.Len()
 		}
 		if err := root.Close(); err != nil {
 			t.Fatal(err)

@@ -79,7 +79,7 @@ var (
 	// Spill instruments, fed by internal/exec/spill as run files are
 	// written and by the grace hash join as it partitions.
 	SpillRuns = Default.NewCounter("oj_spill_runs_total",
-		"Spill run files written (external-sort runs, grace-hash partition files).")
+		"Spill run files written (grace-hash partition files, spilled join inputs).")
 	SpillPartitions = Default.NewCounter("oj_spill_partitions_total",
 		"Grace hash join partitions created under budget pressure.")
 	SpillBytes = Default.NewCounter("oj_spill_bytes_total",
@@ -89,7 +89,8 @@ var (
 	SpillWriteLatency = Default.NewHistogram("oj_spill_write_seconds",
 		"Latency of writing one spill run file.", DefBuckets)
 
-	// FaultInjections counts injected storage faults that fired.
+	// FaultInjections counts injected operator faults that fired (the
+	// executor's fault-injection tests feed it).
 	FaultInjections = Default.NewCounter("oj_fault_injections_total",
 		"Injected storage faults that fired.")
 

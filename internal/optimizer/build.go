@@ -131,39 +131,6 @@ func (o *Optimizer) build(p *Plan, c *exec.Counters, ins bool, tr *Trace) (exec.
 		}
 		wrapped, node := wrapNode(it, p, c, ins, lnode, rnode)
 		return wrapped, node, nil
-	case AlgoMerge:
-		right, rnode, err := o.build(p.Right, c, ins, tr)
-		if err != nil {
-			return nil, nil, err
-		}
-		lk, rk, ok := predicate.EquiParts(p.Pred, p.Left.Scheme, p.Right.Scheme)
-		if !ok || len(lk) != 1 {
-			return nil, nil, fmt.Errorf("optimizer: merge plan predicate mismatch: %v", p.Pred)
-		}
-		ls, err := exec.NewSort(left, lk)
-		if err != nil {
-			return nil, nil, err
-		}
-		rs, err := exec.NewSort(right, rk)
-		if err != nil {
-			return nil, nil, err
-		}
-		var sortedL, sortedR exec.Iterator = ls, rs
-		var sortNodes []*exec.StatsNode
-		if ins {
-			// The sorts a merge join inserts have no plan node of their own;
-			// they still get stats entries (they buffer the whole input).
-			wl := exec.Instrument(ls, "sort on "+lk[0].String(), c, lnode)
-			wr := exec.Instrument(rs, "sort on "+rk[0].String(), c, rnode)
-			sortedL, sortedR = wl, wr
-			sortNodes = []*exec.StatsNode{wl.Node(), wr.Node()}
-		}
-		it, err := exec.NewMergeJoin(sortedL, sortedR, lk[0], rk[0], mode)
-		if err != nil {
-			return nil, nil, err
-		}
-		wrapped, node := wrapNode(it, p, c, ins, sortNodes...)
-		return wrapped, node, nil
 	default:
 		return nil, nil, fmt.Errorf("optimizer: cannot build algorithm %s", p.Algo)
 	}
@@ -204,13 +171,13 @@ func (o *Optimizer) attachFallback(it *exec.BatchHashJoin, p *Plan, lk, rk []rel
 	})
 }
 
-// wrapNode instruments it as the physical realization of plan node p,
-// preserving the operator's batch capability.
+// wrapNode instruments it as the physical realization of plan node p.
 func wrapNode(it exec.Iterator, p *Plan, c *exec.Counters, ins bool, kids ...*exec.StatsNode) (exec.Iterator, *exec.StatsNode) {
 	if !ins {
 		return it, nil
 	}
-	w, n := exec.InstrumentIterator(it, nodeLabel(p), c, kids...)
+	w := exec.Instrument(it, nodeLabel(p), c, kids...)
+	n := w.Node()
 	n.EstRows = p.EstRows
 	n.EstCost = p.Cost
 	return w, n
@@ -251,7 +218,7 @@ func nodeLabel(p *Plan) string {
 		if _, _, ok := predicate.EquiParts(p.Pred, p.Left.Scheme, p.Right.Scheme); ok {
 			algo = "hash"
 		} else {
-			algo = "algebra"
+			algo = "nestedloop"
 		}
 	}
 	return fmt.Sprintf("%s [%s] on %v", opName, algo, p.Pred)

@@ -1,7 +1,6 @@
 package optimizer
 
 import (
-	"freejoin/internal/algebra"
 	"freejoin/internal/core"
 	"freejoin/internal/exec"
 	"freejoin/internal/expr"
@@ -13,8 +12,9 @@ import (
 // is not freely reorderable, so the DP cannot touch it; identity 15
 // nevertheless allows (X → Y) GOJ[sch(X)] Z, letting the engine evaluate
 // the cheap X → Y side first. OptimizeWithGOJ extends Optimize with that
-// rewrite, and the Plan/Build layers gain a GOJ operator (hash-based when
-// the predicate is a pure equijoin, reference algebra otherwise).
+// rewrite, and the Plan/Build layers gain a GOJ operator (over the hash
+// join when the predicate is a pure equijoin, the nested-loop join
+// otherwise).
 
 // planGOJ builds a plan node for GOJ[S][pred](l, r).
 func (o *Optimizer) planGOJ(l, r *Plan, pred predicate.Predicate, s []relation.Attr) (*Plan, error) {
@@ -34,7 +34,10 @@ func (o *Optimizer) planGOJ(l, r *Plan, pred predicate.Predicate, s []relation.A
 	}, nil
 }
 
-// buildGOJ lowers a GOJ plan node.
+// buildGOJ lowers a GOJ plan node to exec.GOJ, which runs the join
+// rows through the hash join (equi predicate) or the nested-loop join
+// (any other). Its stats node keeps the left and right subplans as its
+// two children.
 func (o *Optimizer) buildGOJ(p *Plan, c *exec.Counters, ins bool, tr *Trace) (exec.Iterator, *exec.StatsNode, error) {
 	left, lnode, err := o.build(p.Left, c, ins, tr)
 	if err != nil {
@@ -44,30 +47,11 @@ func (o *Optimizer) buildGOJ(p *Plan, c *exec.Counters, ins bool, tr *Trace) (ex
 	if err != nil {
 		return nil, nil, err
 	}
-	if lk, rk, ok := predicate.EquiParts(p.Pred, p.Left.Scheme, p.Right.Scheme); ok {
-		it, err := exec.NewHashGOJ(left, right, lk, rk, p.GOJAttrs)
-		if err != nil {
-			return nil, nil, err
-		}
-		wrapped, node := wrapNode(it, p, c, ins, lnode, rnode)
-		return wrapped, node, nil
-	}
-	// General predicate: materialize and use the reference algebra. The
-	// children drain here, at build time, so their stats are already
-	// complete when the wrapping RelationScan starts streaming.
-	lrel, err := exec.Collect(left, nil)
+	it, err := exec.NewGOJ(left, right, p.Pred, p.GOJAttrs, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	rrel, err := exec.Collect(right, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	out, err := algebra.GeneralizedOuterJoin(lrel, rrel, p.Pred, p.GOJAttrs)
-	if err != nil {
-		return nil, nil, err
-	}
-	wrapped, node := wrapNode(exec.NewRelationScan(out), p, c, ins, lnode, rnode)
+	wrapped, node := wrapNode(it, p, c, ins, lnode, rnode)
 	return wrapped, node, nil
 }
 

@@ -1,9 +1,12 @@
 package optimizer
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
+	"freejoin/internal/exec"
 	"freejoin/internal/expr"
 	"freejoin/internal/predicate"
 	"freejoin/internal/relation"
@@ -114,8 +117,8 @@ func TestOptimizeWithGOJFixedFallback(t *testing.T) {
 	}
 }
 
-// TestGOJPlanNonEquiPredicate exercises the algebra-fallback path of
-// buildGOJ.
+// TestGOJPlanNonEquiPredicate exercises the theta GOJ, which runs over
+// the nested-loop join.
 func TestGOJPlanNonEquiPredicate(t *testing.T) {
 	rnd := rand.New(rand.NewSource(94))
 	db := expr.DB{
@@ -146,7 +149,7 @@ func TestGOJPlanNonEquiPredicate(t *testing.T) {
 			t.Fatal("non-equi GOJ plan changed the result")
 		}
 	}
-	// Force the GOJ plan regardless of cost to cover the fallback.
+	// Force the GOJ plan regardless of cost to cover the theta GOJ.
 	rw, ok, err := o.planForcedGOJ(q)
 	if err != nil || !ok {
 		t.Fatalf("forced GOJ: %v %v", ok, err)
@@ -174,4 +177,50 @@ func TestGOJPlanRendering(t *testing.T) {
 	if back := p.ToExpr(); back.Op != expr.GOJ {
 		t.Errorf("ToExpr = %v", back)
 	}
+}
+
+// TestThetaGOJRunsUnderItsContext: lowering a theta GOJ plan runs
+// nothing, and executing it is governed by the execution context — the
+// 64-byte budget that stops the fixed-order plan stops the GOJ plan too.
+func TestThetaGOJRunsUnderItsContext(t *testing.T) {
+	rnd := rand.New(rand.NewSource(94))
+	db := expr.DB{
+		"X": workload.RandomRelation(rnd, "X", 200),
+		"Y": workload.RandomRelation(rnd, "Y", 200),
+		"Z": workload.RandomRelation(rnd, "Z", 200),
+	}
+	o := New(catalogFor(db))
+	gt := predicate.Cmp(predicate.GtOp,
+		predicate.Col(relation.A("Y", "a")), predicate.Col(relation.A("Z", "a")))
+	q := expr.NewOuter(expr.NewLeaf("X"),
+		expr.NewJoin(expr.NewLeaf("Y"), expr.NewLeaf("Z"), gt),
+		eqp("X", "Y"))
+	p, ok, err := o.planForcedGOJ(q)
+	if err != nil || !ok {
+		t.Fatalf("forced GOJ: %v %v", ok, err)
+	}
+	var c exec.Counters
+	if _, err := o.Build(p, &c); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.TuplesRetrieved(); n != 0 {
+		t.Errorf("Build retrieved %d tuples; lowering must not execute anything", n)
+	}
+	for name, plan := range map[string]*Plan{"goj": p, "fixed": mustPlanFixed(t, o, q)} {
+		ec := exec.NewExecContext(context.Background(), exec.NewGovernor(0, 64))
+		_, _, err := o.ExecuteCtx(ec, plan)
+		var re *exec.ResourceError
+		if !errors.As(err, &re) || re.Kind != exec.MemoryExceeded {
+			t.Errorf("%s plan under a 64-byte budget: want MemoryExceeded, got %v", name, err)
+		}
+	}
+}
+
+func mustPlanFixed(t *testing.T, o *Optimizer, q *expr.Node) *Plan {
+	t.Helper()
+	p, err := o.PlanFixed(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

@@ -2,7 +2,6 @@ package optimizer
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"freejoin/internal/core"
@@ -22,8 +21,6 @@ const (
 	costProbePerRow  = 1.0
 	costLookup       = 1.0 // per index probe
 	costNLPerPair    = 1.0
-	costSortPerRow   = 0.5 // multiplied by log2(rows)
-	costMergePerRow  = 1.0
 	costOutputPerRow = 0.2
 	defaultNDV       = 10.0
 	defaultSel       = 1.0 / 3.0
@@ -41,8 +38,9 @@ type Optimizer struct {
 
 	// Spill declares that plans from this optimizer run on execution
 	// contexts with spill-to-disk enabled, so blocking operators degrade
-	// to external algorithms (grace hash join, external sort) instead of
-	// index fallbacks or aborts on a memory-budget trip. The flag is
+	// to external algorithms (grace hash join, spilled nested-loop and
+	// semijoin scans) instead of index fallbacks or aborts on a
+	// memory-budget trip. The flag is
 	// planner-side configuration: it selects the degradation path
 	// recorded in the trace and keys the plan cache (a plan whose
 	// fallback wiring assumed spilling must not be served to a
@@ -266,17 +264,9 @@ func (o *Optimizer) fixedJoinPlans(sp expr.Split, l, r *Plan) []*Plan {
 		}
 	}
 	var out []*Plan
-	lk, rk, equi := predicate.EquiParts(sp.Pred, l.Scheme, r.Scheme)
+	_, rk, equi := predicate.EquiParts(sp.Pred, l.Scheme, r.Scheme)
 	if equi {
 		out = append(out, mk(AlgoHash, "", l.EstRows*costProbePerRow+r.EstRows*costBuildPerRow))
-		// Sort-merge: pay an n·log n sort on each input plus the merge.
-		// Without interesting-order tracking this rarely beats hash, but
-		// the candidate keeps the cost model honest and the executor path
-		// exercised (single-key equijoins only).
-		if len(lk) == 1 {
-			sortCost := sortCostOf(l.EstRows) + sortCostOf(r.EstRows)
-			out = append(out, mk(AlgoMerge, "", sortCost+(l.EstRows+r.EstRows)*costMergePerRow))
-		}
 		// Index join: right side must be an unfiltered base table with a
 		// hash index on a single equi column. Its cost does NOT scan the
 		// right table — the Example 1 effect. (A filtered leaf cannot use
@@ -344,14 +334,6 @@ func (o *Optimizer) attrNDV(a relation.Attr) float64 {
 		return defaultNDV
 	}
 	return ndvOf(t, a.Name)
-}
-
-// sortCostOf models an in-memory sort of n rows.
-func sortCostOf(n float64) float64 {
-	if n < 2 {
-		return 0
-	}
-	return n * costSortPerRow * math.Log2(n)
 }
 
 func ndvOf(t *storage.Table, col string) float64 {

@@ -244,52 +244,39 @@ func TestOptimizeGraphErrors(t *testing.T) {
 	}
 }
 
-// TestMergePlanBuildsAndRuns forces the sort-merge candidate and checks
-// it computes the same result as the reference algebra.
-func TestMergePlanBuildsAndRuns(t *testing.T) {
+// TestMergeCandidateNotPlanned: the sort-merge join has no operator,
+// so no equi-join candidate set offers it and Build rejects it.
+func TestMergeCandidateNotPlanned(t *testing.T) {
 	rnd := rand.New(rand.NewSource(61))
 	db := expr.DB{
 		"A": workload.RandomRelation(rnd, "A", 20),
 		"B": workload.RandomRelation(rnd, "B", 20),
 	}
 	o := New(catalogFor(db))
+	l, err := o.scanPlan("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := o.scanPlan("B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hash *Plan
 	for _, op := range []expr.Op{expr.Join, expr.LeftOuter} {
-		q := &expr.Node{Op: op, Left: expr.NewLeaf("A"), Right: expr.NewLeaf("B"), Pred: eqp("A", "B")}
-		l, err := o.scanPlan("A")
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := o.scanPlan("B")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp := expr.Split{Op: op, Pred: q.Pred, S1Preserved: true}
-		var merge *Plan
+		sp := expr.Split{Op: op, Pred: eqp("A", "B"), S1Preserved: true}
 		for _, cand := range o.fixedJoinPlans(sp, l, r) {
-			if cand.Algo == AlgoMerge {
-				merge = cand
+			switch cand.Algo {
+			case AlgoMerge:
+				t.Fatalf("%s offers a sort-merge candidate", op)
+			case AlgoHash:
+				hash = cand
 			}
 		}
-		if merge == nil {
-			t.Fatal("no merge candidate generated")
-		}
-		got, _, err := o.Execute(merge)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := q.Eval(db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.EqualBag(want) {
-			t.Fatalf("merge plan wrong for %s", op)
-		}
 	}
-	if sortCostOf(1) != 0 {
-		t.Error("sortCostOf(1) must be 0")
-	}
-	if sortCostOf(8) <= 0 {
-		t.Error("sortCostOf must grow")
+	merge := *hash
+	merge.Algo = AlgoMerge
+	if _, err := o.Build(&merge, nil); err == nil {
+		t.Error("Build must reject a sort-merge plan")
 	}
 }
 

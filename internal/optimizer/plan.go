@@ -25,6 +25,9 @@ const (
 	AlgoHash
 	AlgoIndex
 	AlgoNL
+	// AlgoMerge names the sort-merge join. No planner emits it and Build
+	// rejects it; the value stays because the served benchmark's trace
+	// attribution still names it.
 	AlgoMerge
 	AlgoIndexScan  // leaf fetched through a hash index on a constant key
 	AlgoSemiReduce // semijoin filter step of the Yannakakis full reducer

@@ -33,10 +33,10 @@ func (r *Relation) Row(i int) Tuple { return Tuple{scheme: r.scheme, vals: r.row
 func (r *Relation) RawRow(i int) []Value { return r.rows[i] }
 
 // CopyRow returns a fresh copy of a row. Operators use it to retain a
-// row past the producer's next Next/NextBatch call: under the ownership
+// row past the producer's next NextBatch call: under the ownership
 // contract a row handed up by an iterator is only valid until then, so
-// anything buffered (a hash-join build side, a sort buffer, a merge-join
-// group) must be copied first.
+// anything buffered (a hash-join build side, a join's lookahead row)
+// must be copied first.
 func CopyRow(row []Value) []Value {
 	out := make([]Value, len(row))
 	copy(out, row)

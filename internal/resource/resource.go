@@ -57,7 +57,7 @@ func (k Kind) String() string {
 
 // ResourceError is the typed error a governed execution returns when a
 // limit trips. Operator is the operator type that tripped ("hashjoin",
-// "sort", ...); Node, when instrumentation is attached, is the plan-node
+// "goj", ...); Node, when instrumentation is attached, is the plan-node
 // label of the tripping operator (filled in by the innermost
 // exec.Instrumented wrapper the error crosses).
 type ResourceError struct {
@@ -102,7 +102,7 @@ func (e *ResourceError) Error() string {
 func (e *ResourceError) Unwrap() error { return e.Err }
 
 // Governor enforces a memory budget over the rows the executor holds
-// materialized at once (sort buffers, hash tables, join inputs). Limits
+// materialized at once (hash tables, join inputs, key sets). Limits
 // may be expressed in rows, bytes, or both; zero means unlimited.
 // Reservations are accounted with atomics so concurrent executions can
 // charge one governor, and trips plus graceful degradations are recorded

@@ -379,7 +379,7 @@ func (ix *HashIndex) LookupKey(buf []byte, v relation.Value) ([]int, []byte) {
 func (ix *HashIndex) Buckets() int { return len(ix.buckets) }
 
 // OrderedIndex keeps row positions sorted by a column, enabling range
-// scans and ordered iteration (merge joins).
+// scans and ordered iteration.
 type OrderedIndex struct {
 	table *Table
 	col   string
