@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build test race cover bench bench-json bench-diff bench-smoke profile experiments faults obs spill server chaos yannakakis batch loc fuzz fuzz-smoke fmt vet clean
+.PHONY: all check build test race cover bench bench-json bench-diff bench-smoke profile experiments faults obs spill server chaos yannakakis batch examples loc fuzz fuzz-smoke fmt vet clean
 
 all: check
 
@@ -143,11 +143,20 @@ batch:
 	rm -rf $$dir && \
 	if [ $$leaked -ne 0 ]; then echo "batch: $$leaked run files leaked"; exit 1; fi
 
-# Code size: non-test Go lines in the executor (spill/ included) and in
-# the whole repository, leaving out the nested benchmark module and its
-# build directory. These are the numbers ROADMAP.md tracks.
+# Example programs: run every examples/* program and fail on a non-zero
+# exit. go build alone compiles them but would not catch a runtime break.
+examples:
+	@for d in examples/*/; do \
+		echo "examples: $$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
+
+# Code size: non-test Go lines in the executor (spill/ included), in the
+# optimizer and in the whole repository, leaving out the nested benchmark
+# module and its build directory. These are the numbers ROADMAP.md tracks.
 loc:
 	@echo "internal/exec: $$(cat $$(find internal/exec -name '*.go' ! -name '*_test.go') | wc -l)"
+	@echo "internal/optimizer: $$(cat $$(find internal/optimizer -name '*.go' ! -name '*_test.go') | wc -l)"
 	@echo "repo: $$(cat $$(find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*') | wc -l)"
 
 # Each fuzz target runs for a short budget; extend FUZZTIME for real runs.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"freejoin/internal/exec"
 	"freejoin/internal/expr"
 	"freejoin/internal/optimizer"
 	"freejoin/internal/predicate"
@@ -45,7 +46,12 @@ func eqKey(u, v string) predicate.Predicate {
 
 func runPlan(o *optimizer.Optimizer, p *optimizer.Plan) (rows int, retrieved int64, d time.Duration, err error) {
 	start := time.Now()
-	out, c, err := o.Execute(p)
+	var c exec.Counters
+	it, err := o.Build(p, &c)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	out, err := exec.CollectCtx(nil, it, &c)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -87,7 +93,7 @@ func runE1(cfg config) error {
 		fmt.Printf("%-34s %12d %12d %12s\n", tc.name, rows, got, d.Round(time.Microsecond))
 	}
 
-	p, tr, err := o.OptimizeTrace(outerFirst)
+	p, tr, err := o.PlanQueryTrace(outerFirst)
 	if err != nil {
 		return err
 	}
@@ -98,7 +104,7 @@ func runE1(cfg config) error {
 	fmt.Printf("%-34s %12d %12d %12s\n", "optimizer (DP over the graph)", rows, got, d.Round(time.Microsecond))
 	fmt.Printf("\nreordered=%v, chosen plan: %s\n", tr.Reordered(), p.Tree())
 
-	_, _, text, err := o.ExplainAnalyze(p, tr)
+	_, _, text, err := o.ExplainAnalyze(nil, p, tr, nil)
 	if err != nil {
 		return err
 	}
@@ -241,7 +247,7 @@ func runE15(cfg config) error {
 		if err != nil {
 			return err
 		}
-		opt, tr, err := o.OptimizeGraphTrace(g)
+		opt, tr, err := o.PlanQueryTrace(its[0])
 		if err != nil {
 			return err
 		}
@@ -252,7 +258,7 @@ func runE15(cfg config) error {
 		gain := float64(tf) / float64(to)
 		fmt.Printf("%8d %22d %22d %7.1fx\n", n, tf, to, gain)
 		if n == 6 {
-			_, _, text, err := o.ExplainAnalyze(opt, tr)
+			_, _, text, err := o.ExplainAnalyze(nil, opt, tr, nil)
 			if err != nil {
 				return err
 			}
@@ -294,12 +300,13 @@ func runE20(cfg config) error {
 		predicate.EqConst(relation.A("S", "a"), relation.Int(int64(n/2))))
 	fmt.Printf("query: sigma[S.a = %d](R -> (S -> T)),  N = %d per table, key indexes\n\n", n/2, n)
 
-	naive, err := o.PlanFixed(q.Left) // the block as written...
+	// A non-§4 planner evaluates the block as written and filters at the
+	// end.
+	naive, err := o.PlanFixed(q)
 	if err != nil {
 		return err
 	}
-	naivePlan := naiveFilterPlan(o, naive, q.Pred)
-	rows, got, d, err := runPlan(o, naivePlan)
+	rows, got, d, err := runPlan(o, naive)
 	if err != nil {
 		return err
 	}
@@ -314,25 +321,15 @@ func runE20(cfg config) error {
 		return err
 	}
 	fmt.Printf("%-44s rows=%d tuples=%-9d time=%s\n",
-		fmt.Sprintf("PlanQuery (reordered=%v): %s", tr.Reordered(), p.Tree()), rows, got, d.Round(time.Microsecond))
+		fmt.Sprintf("PlanQueryTrace (reordered=%v): %s", tr.Reordered(), p.Tree()), rows, got, d.Round(time.Microsecond))
 
-	_, _, text, err := o.ExplainAnalyze(p, tr)
+	_, _, text, err := o.ExplainAnalyze(nil, p, tr, nil)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\nper-operator breakdown of the pipeline plan:\n%s", text)
 	fmt.Println("\npaper §4: simplify before graph creation, \"do restrictions as early as possible\"")
 	return nil
-}
-
-// naiveFilterPlan wraps a plan with a filter the way a non-§4 planner
-// would: evaluate the block as written, filter at the end.
-func naiveFilterPlan(o *optimizer.Optimizer, child *optimizer.Plan, pred predicate.Predicate) *optimizer.Plan {
-	return &optimizer.Plan{
-		Op: expr.Restrict, Left: child, Pred: pred,
-		Scheme: child.Scheme, EstRows: child.EstRows / 3,
-		Cost: child.Cost + child.EstRows,
-	}
 }
 
 func runE16(cfg config) error {

@@ -624,7 +624,7 @@ func (s *Shell) cmdExplain(rest string) error {
 	}
 	ec, cancel := s.execContext()
 	defer cancel()
-	_, _, text, err := o.ExplainAnalyzeTraced(ec, p, tr, qt)
+	_, _, text, err := o.ExplainAnalyze(ec, p, tr, qt)
 	qt.Finish(err)
 	// On an aborted run the text still renders the partial tree and the
 	// tripping operator; print it before surfacing the error.
@@ -658,13 +658,18 @@ func (s *Shell) cmdPlan(rest string) error {
 	if s.tracer.Enabled() {
 		// Span export wants per-operator spans, which only the
 		// instrumented path produces (it also fills the query record).
-		out, c, _, err = o.ExplainAnalyzeTraced(ec, p, tr, qt)
+		out, c, _, err = o.ExplainAnalyze(ec, p, tr, qt)
 	} else {
 		var cc exec.Counters
 		qt.AttachProgress(cc.RowsProduced, cc.TuplesRetrieved, ec.Governor())
 		execDone := qt.Span("execute")
 		obs.WithQueryLabels(context.Background(), qt.Rec.ID, tr.Fingerprint, tr.Strategy,
-			func(context.Context) { out, err = o.ExecuteCtxCounted(ec, p, &cc) })
+			func(context.Context) {
+				var it exec.Iterator
+				if it, err = o.Build(p, &cc); err == nil {
+					out, err = exec.CollectCtx(ec, it, &cc)
+				}
+			})
 		execDone()
 		c = &cc
 		qt.Rec.Strategy = tr.Strategy
@@ -738,7 +743,12 @@ func (s *Shell) cmdExecute(rest string) error {
 	execDone := qt.Span("execute")
 	var out *relation.Relation
 	obs.WithQueryLabels(context.Background(), qt.Rec.ID, tr.Fingerprint, tr.Strategy,
-		func(context.Context) { out, err = o.ExecuteCtxCounted(ec, p, &c) })
+		func(context.Context) {
+			var it exec.Iterator
+			if it, err = o.Build(p, &c); err == nil {
+				out, err = exec.CollectCtx(ec, it, &c)
+			}
+		})
 	execDone()
 	qt.Rec.Strategy = tr.Strategy
 	qt.Rec.FallbackReason = tr.FallbackReason

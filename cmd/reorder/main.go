@@ -220,8 +220,8 @@ func explainPlan(w io.Writer, q *expr.Node, g *graph.Graph, planCache bool, time
 			return err
 		}
 		if tr2.CacheOutcome == "" {
-			// Fixed-order and GOJ fallbacks keep the written association;
-			// there is no graph-keyed plan to cache.
+			// A fixed-order plan keeps the written association; there is
+			// no graph-keyed plan to cache.
 			fmt.Fprintf(w, "\nre-plan: not cached (strategy %s)\n", tr2.Strategy)
 		} else {
 			reused := "reused"
@@ -259,7 +259,7 @@ func explainPlan(w io.Writer, q *expr.Node, g *graph.Graph, planCache bool, time
 		qt.Rec.Strategy = tr.Strategy
 		qt.Rec.FallbackReason = tr.FallbackReason
 	}
-	_, _, text, err := o.ExplainAnalyzeTraced(ec, p, nil, qt)
+	_, _, text, err := o.ExplainAnalyze(ec, p, nil, qt)
 	qt.Finish(err)
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "execution (explain analyze):")

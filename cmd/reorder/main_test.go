@@ -2,7 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
+	osexec "os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -152,5 +154,30 @@ func TestRunExplainPlanCache(t *testing.T) {
 	}
 	if !strings.Contains(got, "re-plan: plan cache hit (fp ") || !strings.Contains(got, "plan object reused") {
 		t.Errorf("re-plan must hit and reuse the plan:\n%s", got)
+	}
+}
+
+// TestUnknownStrategyExitsNonZero: a misspelled -strategy must fail the
+// command, not silently fall back to the written order. The test binary
+// re-runs itself as the reorder command and checks the exit status.
+func TestUnknownStrategyExitsNonZero(t *testing.T) {
+	if os.Getenv("REORDER_TEST_MAIN") == "1" {
+		os.Args = []string{"reorder", "-explain", "-strategy", "bogus",
+			"-q", "R1 -[R1.b = R2.a] ((R2 ->[R2.b = R3.a] R3) ->[R3.b = R4.a] R4)"}
+		main()
+		return
+	}
+	cmd := osexec.Command(os.Args[0], "-test.run=^TestUnknownStrategyExitsNonZero$")
+	cmd.Env = append(os.Environ(), "REORDER_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exitErr *osexec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() == 0 {
+		t.Fatalf("reorder -strategy bogus: err = %v; want a non-zero exit\n%s", err, out)
+	}
+	if !strings.Contains(string(out), `unknown strategy "bogus"`) {
+		t.Errorf("output must name the unknown strategy:\n%s", out)
+	}
+	if strings.Contains(string(out), "execution (explain analyze)") {
+		t.Errorf("the query must not run under an unknown strategy:\n%s", out)
 	}
 }

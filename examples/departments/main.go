@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"freejoin/internal/core"
+	"freejoin/internal/exec"
 	"freejoin/internal/expr"
 	"freejoin/internal/optimizer"
 	"freejoin/internal/predicate"
@@ -58,13 +59,18 @@ func main() {
 	fmt.Println("freely reorderable: yes (outerjoin chain, strong key predicates)")
 
 	o := optimizer.New(cat)
-	plan, reordered, err := o.Optimize(q)
+	plan, tr, err := o.PlanQueryTrace(q)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\noptimizer (reordered=%v) chose: %s\n%s", reordered, plan.Tree(), plan.Explain())
+	fmt.Printf("\noptimizer (reordered=%v) chose: %s\n%s", tr.Reordered(), plan.Tree(), plan.Explain())
 
-	out, counters, err := o.Execute(plan)
+	var counters exec.Counters
+	it, err := o.Build(plan, &counters)
+	if err != nil {
+		log.Fatal(err)
+	}
+	out, err := exec.CollectCtx(nil, it, &counters)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"time"
 
+	"freejoin/internal/exec"
 	"freejoin/internal/expr"
 	"freejoin/internal/optimizer"
 	"freejoin/internal/predicate"
@@ -53,7 +54,12 @@ func main() {
 
 	show := func(label string, p *optimizer.Plan) {
 		start := time.Now()
-		out, c, err := o.Execute(p)
+		var c exec.Counters
+		it, err := o.Build(p, &c)
+		if err != nil {
+			log.Fatal(err)
+		}
+		out, err := exec.CollectCtx(nil, it, &c)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -67,11 +73,11 @@ func main() {
 	}
 	show("as written (fixed order):", fixed)
 
-	opt, reordered, err := o.Optimize(q)
+	opt, tr, err := o.PlanQueryTrace(q)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if !reordered {
+	if !tr.Reordered() {
 		log.Fatal("query should be freely reorderable")
 	}
 	show("after free reordering:", opt)

@@ -56,14 +56,14 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// 5. Plan through the full §4 pipeline and execute.
 	o := optimizer.New(restored)
-	plan, reordered, err := o.PlanQuery(q)
+	plan, tr, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reordered {
+	if !tr.Reordered() {
 		t.Fatalf("pipeline should reorder; plan:\n%s", plan.Explain())
 	}
-	got, counters, err := o.Execute(plan)
+	got, counters, err := execute(o, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

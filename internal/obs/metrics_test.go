@@ -132,7 +132,8 @@ func TestDefaultInstrumentsRegistered(t *testing.T) {
 func TestStrategyAndTripLookups(t *testing.T) {
 	if StrategyCounter("reordered") != StrategyReordered ||
 		StrategyCounter("fixed") != StrategyFixed ||
-		StrategyCounter("goj") != StrategyGOJ ||
+		StrategyCounter("yannakakis") != StrategyYannakakis ||
+		StrategyCounter("goj") != nil ||
 		StrategyCounter("bogus") != nil {
 		t.Fatal("StrategyCounter mapping wrong")
 	}

@@ -2,12 +2,13 @@ package optimizer
 
 import (
 	"fmt"
+	"time"
 
 	"freejoin/internal/exec"
 	"freejoin/internal/expr"
+	"freejoin/internal/obs"
 	"freejoin/internal/predicate"
 	"freejoin/internal/relation"
-	"freejoin/internal/storage"
 )
 
 // Build lowers a plan to a physical iterator tree, wiring the counter
@@ -17,21 +18,6 @@ import (
 func (o *Optimizer) Build(p *Plan, c *exec.Counters) (exec.Iterator, error) {
 	it, _, err := o.build(p, c, false, nil)
 	return it, err
-}
-
-// BuildInstrumented lowers p like Build but wraps every operator in an
-// exec.Instrument stats collector, returning the root of the parallel
-// StatsNode tree. Estimates (rows, cost) are copied onto each node so
-// EXPLAIN ANALYZE can report estimation error next to actuals.
-func (o *Optimizer) BuildInstrumented(p *Plan, c *exec.Counters) (exec.Iterator, *exec.StatsNode, error) {
-	return o.build(p, c, true, nil)
-}
-
-// BuildInstrumentedTraced is BuildInstrumented recording lowering
-// decisions — which degradation path hash joins were wired with — into
-// tr (which may be nil).
-func (o *Optimizer) BuildInstrumentedTraced(p *Plan, c *exec.Counters, tr *Trace) (exec.Iterator, *exec.StatsNode, error) {
-	return o.build(p, c, true, tr)
 }
 
 // build is the shared lowering; when ins is set every operator is wrapped
@@ -183,108 +169,37 @@ func wrapNode(it exec.Iterator, p *Plan, c *exec.Counters, ins bool, kids ...*ex
 	return w, n
 }
 
-// nodeLabel renders a plan node's one-line operator description (the same
-// vocabulary as Plan.Explain).
-func nodeLabel(p *Plan) string {
-	if p.IsLeaf() {
-		if p.Algo == AlgoIndexScan {
-			return fmt.Sprintf("indexscan %s.%s = %s", p.Table, p.IndexCol, p.IndexVal)
-		}
-		return "scan " + p.Table
-	}
-	if p.Op == expr.Restrict {
-		return fmt.Sprintf("filter on %v", p.Pred)
-	}
-	opName := "join"
-	switch p.Op {
-	case expr.LeftOuter:
-		opName = "leftouterjoin"
-	case expr.GOJ:
-		opName = "generalizedouterjoin"
-	case expr.Semijoin:
-		opName = "semireduce"
-	}
-	algo := p.Algo.String()
-	switch {
-	case p.Algo == AlgoIndex:
-		algo = fmt.Sprintf("index(%s.%s)", p.Right.Table, p.IndexCol)
-	case p.Algo == AlgoSemiReduce:
-		if _, _, ok := predicate.EquiParts(p.Pred, p.Left.Scheme, p.Right.Scheme); ok {
-			algo = "hash"
-		} else {
-			algo = "scan"
-		}
-	case p.Op == expr.GOJ:
-		if _, _, ok := predicate.EquiParts(p.Pred, p.Left.Scheme, p.Right.Scheme); ok {
-			algo = "hash"
-		} else {
-			algo = "nestedloop"
-		}
-	}
-	return fmt.Sprintf("%s [%s] on %v", opName, algo, p.Pred)
-}
-
-// Execute lowers and runs a plan ungoverned, returning the result
-// relation and the execution counters (tuples retrieved, rows produced).
-func (o *Optimizer) Execute(p *Plan) (*relation.Relation, *exec.Counters, error) {
-	return o.ExecuteCtx(nil, p)
-}
-
-// ExecuteCtx runs p under an execution context carrying cancellation,
-// deadline and memory budgets; ec may be nil for ungoverned execution.
-func (o *Optimizer) ExecuteCtx(ec *exec.ExecContext, p *Plan) (*relation.Relation, *exec.Counters, error) {
-	var c exec.Counters
-	out, err := o.ExecuteCtxCounted(ec, p, &c)
-	return out, &c, err
-}
-
-// ExecuteCtxCounted is ExecuteCtx with caller-owned counters: the
-// caller allocates c before execution and may read it concurrently
-// while the query runs (Counters is atomic), which is how the server's
-// live-progress view streams rows-so-far for in-flight queries.
-func (o *Optimizer) ExecuteCtxCounted(ec *exec.ExecContext, p *Plan, c *exec.Counters) (*relation.Relation, error) {
-	it, err := o.Build(p, c)
-	if err != nil {
-		return nil, err
-	}
-	return exec.CollectCtx(ec, it, c)
-}
-
-// ExecuteAnalyzed lowers p with instrumentation, runs it, and returns the
-// result, the counters, and the root of the collected per-operator stats
-// tree — the data behind EXPLAIN ANALYZE.
-func (o *Optimizer) ExecuteAnalyzed(p *Plan) (*relation.Relation, *exec.Counters, *exec.StatsNode, error) {
-	return o.ExecuteAnalyzedCtx(nil, p)
-}
-
-// ExecuteAnalyzedCtx is ExecuteAnalyzed under an execution context. On
-// error the partially-filled stats tree is still returned so EXPLAIN
-// ANALYZE can render what ran and name the failing operator.
+// ExecuteAnalyzedCtx lowers p with per-operator instrumentation and runs
+// it under ec (nil for ungoverned execution), returning the result, the
+// counters, and the root of the collected stats tree — the data behind
+// EXPLAIN ANALYZE. On error the partially-filled stats tree is still
+// returned so EXPLAIN ANALYZE can render what ran and name the failing
+// operator.
 func (o *Optimizer) ExecuteAnalyzedCtx(ec *exec.ExecContext, p *Plan) (*relation.Relation, *exec.Counters, *exec.StatsNode, error) {
+	return o.executeAnalyzed(ec, p, nil, nil)
+}
+
+// executeAnalyzed is the instrumented build-and-collect body of
+// ExecuteAnalyzedCtx and ExplainAnalyze. Lowering records its degradation
+// wiring into tr, and the build and execute phases plus one span per
+// executed operator go to qt; either may be nil. A failed build returns
+// no counters and no stats tree: nothing ran.
+func (o *Optimizer) executeAnalyzed(ec *exec.ExecContext, p *Plan, tr *Trace, qt *obs.QueryTrace) (*relation.Relation, *exec.Counters, *exec.StatsNode, error) {
 	var c exec.Counters
-	it, root, err := o.BuildInstrumented(p, &c)
+	buildStart := time.Now()
+	it, root, err := o.build(p, &c, true, tr)
+	qt.AddSpan(obs.Span{Name: "build", Cat: "phase", Start: buildStart, Dur: time.Since(buildStart)})
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	execStart := time.Now()
 	out, err := exec.CollectCtx(ec, it, &c)
+	if qt != nil {
+		qt.AddSpan(obs.Span{Name: "execute", Cat: "phase", Start: execStart, Dur: time.Since(execStart)})
+		qt.AddSpans(exec.SpanTree(root, execStart))
+	}
 	if err != nil {
 		return nil, &c, root, err
 	}
 	return out, &c, root, nil
 }
-
-// Run optimizes and executes a query in one call, reporting whether
-// reordering applied.
-func (o *Optimizer) Run(q *expr.Node) (*relation.Relation, *exec.Counters, bool, error) {
-	p, reordered, err := o.Optimize(q)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	out, c, err := o.Execute(p)
-	return out, c, reordered, err
-}
-
-// CatalogOf exposes the optimizer's catalog (a storage.Catalog implements
-// both expr.Source and core.SchemeSource, which callers often need
-// alongside planning).
-func (o *Optimizer) CatalogOf() *storage.Catalog { return o.cat }

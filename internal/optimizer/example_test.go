@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log"
 
+	"freejoin/internal/exec"
 	"freejoin/internal/expr"
 	"freejoin/internal/optimizer"
 	"freejoin/internal/predicate"
@@ -14,7 +15,7 @@ import (
 // The §6.1 recipe: a freely-reorderable query gets the full DP treatment
 // — the optimizer picks the cheap association regardless of how the user
 // wrote the query.
-func ExampleOptimizer_Optimize() {
+func ExampleOptimizer_PlanQueryTrace() {
 	cat := storage.NewCatalog()
 	one := relation.New(relation.SchemeOf("R1", "a"))
 	one.MustAppend(relation.Int(500))
@@ -42,15 +43,20 @@ func ExampleOptimizer_Optimize() {
 		key("R1", "R2"))
 
 	o := optimizer.New(cat)
-	plan, reordered, err := o.Optimize(q)
+	plan, tr, err := o.PlanQueryTrace(q)
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, counters, err := o.Execute(plan)
+	var counters exec.Counters
+	it, err := o.Build(plan, &counters)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("reordered:", reordered)
+	out, err := exec.CollectCtx(nil, it, &counters)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("reordered:", tr.Reordered())
 	fmt.Println("plan:", plan.Tree())
 	fmt.Println("rows:", out.Len(), "tuples retrieved:", counters.TuplesRetrieved())
 	// Output:

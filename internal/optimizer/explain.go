@@ -18,8 +18,7 @@ import (
 type Trace struct {
 	// Strategy is "reordered" (DP over the query graph), "yannakakis"
 	// (the acyclic fast path: semijoin full reducer plus reduced join),
-	// "fixed" (the written association, algorithm selection only), or
-	// "goj" (the §6.2 generalized-outerjoin reassociation).
+	// or "fixed" (the written association, algorithm selection only).
 	Strategy string
 	// FallbackReason explains a non-"reordered" strategy: the analysis
 	// verdict, an undefined query graph, or a DP failure.
@@ -51,7 +50,7 @@ type Trace struct {
 	// plan's hash joins at lowering time: "grace-hash spill" when
 	// spilling is enabled (preferred — it keeps the hash strategy), or
 	// the index alternative otherwise. Empty when a memory trip would
-	// simply abort. Filled by BuildInstrumentedTraced, not by planning.
+	// simply abort. Filled by ExplainAnalyze's lowering, not by planning.
 	Degradation string
 }
 
@@ -96,43 +95,28 @@ func Explain(p *Plan, tr *Trace) string {
 	return b.String()
 }
 
-// ExplainAnalyze executes p with per-operator instrumentation and renders
-// the plan tree with estimates AND actuals side by side: rows emitted,
-// base tuples retrieved by each operator itself, peak buffered rows, wall
-// time, and the q-error of the row estimate. The result relation and the
-// global counters are returned alongside the rendering.
-func (o *Optimizer) ExplainAnalyze(p *Plan, tr *Trace) (*relation.Relation, *exec.Counters, string, error) {
-	return o.ExplainAnalyzeCtx(nil, p, tr)
-}
-
-// ExplainAnalyzeCtx is ExplainAnalyze under an execution context. When a
-// resource limit aborts the run, the partial stats tree is still
-// rendered — with the tripping operator marked — followed by governor
-// events and an "aborted" trailer, and the error is returned alongside
-// the text so callers can show both.
-func (o *Optimizer) ExplainAnalyzeCtx(ec *exec.ExecContext, p *Plan, tr *Trace) (*relation.Relation, *exec.Counters, string, error) {
-	return o.ExplainAnalyzeTraced(ec, p, tr, nil)
-}
-
-// ExplainAnalyzeTraced is ExplainAnalyzeCtx feeding a query trace: the
-// build and execute phases become spans, the executed stats tree is
-// synthesized into per-operator spans, and the trace's record is filled
-// with the chosen implementing tree, the optimizer's strategy and
-// fallback reason, the effort counters, the root q-error, and any
-// governor events — everything the slow-query log and /debug/queries
-// report. qt may be nil (plain ExplainAnalyzeCtx behavior).
-func (o *Optimizer) ExplainAnalyzeTraced(ec *exec.ExecContext, p *Plan, tr *Trace, qt *obs.QueryTrace) (*relation.Relation, *exec.Counters, string, error) {
-	var c exec.Counters
-	buildStart := time.Now()
-	it, root, err := o.BuildInstrumentedTraced(p, &c, tr)
-	qt.AddSpan(obs.Span{Name: "build", Cat: "phase", Start: buildStart, Dur: time.Since(buildStart)})
-	if err != nil {
+// ExplainAnalyze executes p with per-operator instrumentation under ec
+// (nil for ungoverned execution) and renders the plan tree with
+// estimates AND actuals side by side: rows emitted, base tuples
+// retrieved by each operator itself, peak buffered rows, wall time, and
+// the q-error of the row estimate, followed by the optimizer trace tr
+// (which may be nil). When a resource limit aborts the run, the partial
+// stats tree is still rendered — with the tripping operator marked —
+// followed by governor events and an "aborted" trailer, and the error is
+// returned alongside the text so callers can show both. The result
+// relation and the global counters are returned alongside the rendering.
+//
+// A non-nil qt is fed the query trace: the build and execute phases
+// become spans, the executed stats tree is synthesized into per-operator
+// spans, and the trace's record is filled with the chosen implementing
+// tree, the optimizer's strategy and fallback reason, the effort
+// counters, the root q-error, and any governor events — everything the
+// slow-query log and /debug/queries report.
+func (o *Optimizer) ExplainAnalyze(ec *exec.ExecContext, p *Plan, tr *Trace, qt *obs.QueryTrace) (*relation.Relation, *exec.Counters, string, error) {
+	out, c, root, err := o.executeAnalyzed(ec, p, tr, qt)
+	if root == nil {
 		return nil, nil, "", err // build failed; nothing ran
 	}
-	execStart := time.Now()
-	out, err := exec.CollectCtx(ec, it, &c)
-	qt.AddSpan(obs.Span{Name: "execute", Cat: "phase", Start: execStart, Dur: time.Since(execStart)})
-	qt.AddSpans(exec.SpanTree(root, execStart))
 	if qt != nil {
 		rec := &qt.Rec
 		if tr != nil {
@@ -157,11 +141,11 @@ func (o *Optimizer) ExplainAnalyzeTraced(ec *exec.ExecContext, p *Plan, tr *Trac
 	}
 	if err != nil {
 		fmt.Fprintf(&b, "-- aborted: %v\n", err)
-		return nil, &c, b.String(), err
+		return nil, c, b.String(), err
 	}
 	fmt.Fprintf(&b, "-- totals: %d rows, %d base tuples retrieved\n",
 		c.RowsProduced(), c.TuplesRetrieved())
-	return out, &c, b.String(), nil
+	return out, c, b.String(), nil
 }
 
 // RenderStats renders an executed stats tree, one indented line per

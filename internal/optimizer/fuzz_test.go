@@ -91,7 +91,7 @@ func FuzzJoinTree(f *testing.F) {
 		db := workload.RandomDanglingDB(rnd, g, 5, 0.4)
 		o := New(catalogFor(db))
 		o.Strategy = "yannakakis"
-		p, err := o.OptimizeGraph(g)
+		p, err := o.optimizeGraphCached(g, nil, nil)
 		if err != nil {
 			t.Fatalf("yannakakis plan over a valid join tree failed: %v\ngraph:\n%s", err, g)
 		}
@@ -103,7 +103,7 @@ func FuzzJoinTree(f *testing.F) {
 		if err != nil {
 			t.Fatalf("algebra eval: %v", err)
 		}
-		got, _, err := o.Execute(p)
+		got, _, err := execute(nil, o, p)
 		if err != nil {
 			t.Fatalf("yannakakis execute: %v\nplan:\n%s", err, p.Explain())
 		}

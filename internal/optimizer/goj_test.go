@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"freejoin/internal/core"
 	"freejoin/internal/exec"
 	"freejoin/internal/expr"
 	"freejoin/internal/predicate"
@@ -40,24 +41,63 @@ func example2Query() *expr.Node {
 		eqp("X", "Y"))
 }
 
+// gojPlan plans the §6.2 rewrite of q in its written order — the way a
+// GOJ plan is reached: core.GOJReassociate, then PlanFixed.
+func gojPlan(t *testing.T, o *Optimizer, q *expr.Node) *Plan {
+	t.Helper()
+	rw, ok, err := core.GOJReassociate(q, o.cat)
+	if err != nil || !ok {
+		t.Fatalf("GOJReassociate: ok=%v err=%v", ok, err)
+	}
+	return mustPlanFixed(t, o, rw)
+}
+
+// TestPlanFixedRestrictAndGOJ: PlanFixed plans restrictions and GOJ
+// nodes in their written order, and both plans run bag-equal to the
+// reference algebra.
+func TestPlanFixedRestrictAndGOJ(t *testing.T) {
+	cat := example2Catalog(t, 5000)
+	o := New(cat)
+	q := example2Query()
+	sigma := expr.NewRestrict(q, predicate.EqConst(relation.A("Y", "b"), relation.Int(7)))
+	for name, tc := range map[string]struct {
+		ref  *expr.Node
+		plan *Plan
+	}{
+		"restrict": {sigma, mustPlanFixed(t, o, sigma)},
+		"goj":      {q, gojPlan(t, o, q)},
+	} {
+		want, err := tc.ref.Eval(cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := execute(nil, o, tc.plan)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !got.EqualBag(want) {
+			t.Fatalf("%s plan changed the result:\nplan %s", name, tc.plan.Explain())
+		}
+	}
+}
+
+// TestOptimizeWithGOJPrefersRewrite: on Example 2's data the GOJ plan,
+// reached as PlanFixed(GOJReassociate(q)), is GOJ-rooted, runs
+// bag-equal to q, and drives from the 1-row X, so it retrieves fewer
+// tuples than the fixed order.
 func TestOptimizeWithGOJPrefersRewrite(t *testing.T) {
 	cat := example2Catalog(t, 5000)
 	o := New(cat)
 	q := example2Query()
-
-	p, strategy, err := o.OptimizeWithGOJ(q)
-	if err != nil {
-		t.Fatal(err)
+	p := gojPlan(t, o, q)
+	if p.Op != expr.GOJ {
+		t.Fatalf("GOJ rewrite planned as %s", p.Tree())
 	}
-	if strategy != "goj" {
-		t.Fatalf("strategy = %q, plan %s", strategy, p.Tree())
-	}
-	// Correctness: GOJ plan result equals the fixed-order reference.
 	want, err := q.Eval(cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := o.Execute(p)
+	got, cg, err := execute(nil, o, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,15 +106,7 @@ func TestOptimizeWithGOJPrefersRewrite(t *testing.T) {
 	}
 	// Efficiency: fixed order scans Y and Z through the hash join; the
 	// GOJ plan drives from the 1-row X.
-	fixed, err := o.PlanFixed(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, cf, err := o.Execute(fixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, cg, err := o.Execute(p)
+	_, cf, err := execute(nil, o, mustPlanFixed(t, o, q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,6 +116,32 @@ func TestOptimizeWithGOJPrefersRewrite(t *testing.T) {
 	}
 }
 
+// TestOptimizeWithGOJFixedFallback: when the outer predicate spans X and
+// Z, identity 15's scope does not apply, so there is no GOJ rewrite and
+// the planner keeps the written order.
+func TestOptimizeWithGOJFixedFallback(t *testing.T) {
+	rnd := rand.New(rand.NewSource(93))
+	db := expr.DB{
+		"X": workload.RandomRelation(rnd, "X", 5),
+		"Y": workload.RandomRelation(rnd, "Y", 5),
+		"Z": workload.RandomRelation(rnd, "Z", 5),
+	}
+	cat := catalogFor(db)
+	o := New(cat)
+	q := expr.NewOuter(expr.NewLeaf("X"),
+		expr.NewJoin(expr.NewLeaf("Y"), expr.NewLeaf("Z"), eqp("Y", "Z")),
+		eqp("X", "Z"))
+	if _, ok, err := core.GOJReassociate(q, cat); err != nil || ok {
+		t.Fatalf("GOJReassociate(X -> (Y - Z) on X.a = Z.a): ok=%v err=%v; want no rewrite", ok, err)
+	}
+	_, tr, err := o.PlanQueryTrace(q)
+	if err != nil || tr.Strategy != "fixed" {
+		t.Fatalf("trace = %+v, err %v", tr, err)
+	}
+}
+
+// TestOptimizeWithGOJKeepsReorderedPlans: a freely reorderable query is
+// reordered; the GOJ rewrite is never the planner's business.
 func TestOptimizeWithGOJKeepsReorderedPlans(t *testing.T) {
 	rnd := rand.New(rand.NewSource(92))
 	db := expr.DB{
@@ -92,28 +150,9 @@ func TestOptimizeWithGOJKeepsReorderedPlans(t *testing.T) {
 	}
 	o := New(catalogFor(db))
 	q := expr.NewOuter(expr.NewLeaf("A"), expr.NewLeaf("B"), eqp("A", "B"))
-	_, strategy, err := o.OptimizeWithGOJ(q)
-	if err != nil || strategy != "reordered" {
-		t.Fatalf("strategy = %q, err %v", strategy, err)
-	}
-}
-
-func TestOptimizeWithGOJFixedFallback(t *testing.T) {
-	rnd := rand.New(rand.NewSource(93))
-	db := expr.DB{
-		"X": workload.RandomRelation(rnd, "X", 5),
-		"Y": workload.RandomRelation(rnd, "Y", 5),
-		"Z": workload.RandomRelation(rnd, "Z", 5),
-	}
-	o := New(catalogFor(db))
-	// Outer predicate spans X and Z: identity 15's scope does not apply,
-	// so the rewrite is unavailable and the fixed plan is kept.
-	q := expr.NewOuter(expr.NewLeaf("X"),
-		expr.NewJoin(expr.NewLeaf("Y"), expr.NewLeaf("Z"), eqp("Y", "Z")),
-		eqp("X", "Z"))
-	_, strategy, err := o.OptimizeWithGOJ(q)
-	if err != nil || strategy != "fixed" {
-		t.Fatalf("strategy = %q, err %v", strategy, err)
+	_, tr, err := o.PlanQueryTrace(q)
+	if err != nil || tr.Strategy != "reordered" {
+		t.Fatalf("trace = %+v, err %v", tr, err)
 	}
 }
 
@@ -132,45 +171,23 @@ func TestGOJPlanNonEquiPredicate(t *testing.T) {
 	q := expr.NewOuter(expr.NewLeaf("X"),
 		expr.NewJoin(expr.NewLeaf("Y"), expr.NewLeaf("Z"), gt),
 		eqp("X", "Y"))
-	p, strategy, err := o.OptimizeWithGOJ(q)
+	want, err := q.Eval(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strategy == "goj" {
-		want, err := q.Eval(db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := o.Execute(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.EqualBag(want) {
-			t.Fatal("non-equi GOJ plan changed the result")
-		}
-	}
-	// Force the GOJ plan regardless of cost to cover the theta GOJ.
-	rw, ok, err := o.planForcedGOJ(q)
-	if err != nil || !ok {
-		t.Fatalf("forced GOJ: %v %v", ok, err)
-	}
-	want, _ := q.Eval(db)
-	got, _, err := o.Execute(rw)
+	got, _, err := execute(nil, o, gojPlan(t, o, q))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.EqualBag(want) {
-		t.Fatal("forced non-equi GOJ plan changed the result")
+		t.Fatal("non-equi GOJ plan changed the result")
 	}
 }
 
 func TestGOJPlanRendering(t *testing.T) {
 	cat := example2Catalog(t, 100)
 	o := New(cat)
-	p, strategy, err := o.OptimizeWithGOJ(example2Query())
-	if err != nil || strategy != "goj" {
-		t.Fatalf("strategy %q err %v", strategy, err)
-	}
+	p := gojPlan(t, o, example2Query())
 	if p.Tree() != "((X -> Y) goj Z)" {
 		t.Errorf("Tree = %q", p.Tree())
 	}
@@ -195,10 +212,7 @@ func TestThetaGOJRunsUnderItsContext(t *testing.T) {
 	q := expr.NewOuter(expr.NewLeaf("X"),
 		expr.NewJoin(expr.NewLeaf("Y"), expr.NewLeaf("Z"), gt),
 		eqp("X", "Y"))
-	p, ok, err := o.planForcedGOJ(q)
-	if err != nil || !ok {
-		t.Fatalf("forced GOJ: %v %v", ok, err)
-	}
+	p := gojPlan(t, o, q)
 	var c exec.Counters
 	if _, err := o.Build(p, &c); err != nil {
 		t.Fatal(err)
@@ -208,7 +222,7 @@ func TestThetaGOJRunsUnderItsContext(t *testing.T) {
 	}
 	for name, plan := range map[string]*Plan{"goj": p, "fixed": mustPlanFixed(t, o, q)} {
 		ec := exec.NewExecContext(context.Background(), exec.NewGovernor(0, 64))
-		_, _, err := o.ExecuteCtx(ec, plan)
+		_, _, err := execute(ec, o, plan)
 		var re *exec.ResourceError
 		if !errors.As(err, &re) || re.Kind != exec.MemoryExceeded {
 			t.Errorf("%s plan under a 64-byte budget: want MemoryExceeded, got %v", name, err)

@@ -8,10 +8,8 @@ import (
 
 // recordTrace feeds a finished optimization decision into the
 // process-wide metrics: one strategy count per optimization plus the DP
-// search volume. Called once per public entry point (OptimizeTrace,
-// OptimizeWithGOJTrace, PlanQueryTrace, OptimizeGraphTrace) after the
-// strategy is final, so an OptimizeWithGOJ run that upgrades "fixed" to
-// "goj" counts once, under the strategy actually returned.
+// search volume. PlanQueryTrace, the one planner, calls it once per plan
+// after the strategy is final.
 func recordTrace(tr *Trace) {
 	if tr == nil {
 		return

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -26,6 +27,34 @@ func catalogFor(db expr.DB) *storage.Catalog {
 	return cat
 }
 
+// execute runs p the way the served path does: Build, then
+// exec.CollectCtx under ec (nil for ungoverned execution).
+func execute(ec *exec.ExecContext, o *Optimizer, p *Plan) (*relation.Relation, *exec.Counters, error) {
+	var c exec.Counters
+	it, err := o.Build(p, &c)
+	if err != nil {
+		return nil, nil, err
+	}
+	out, err := exec.CollectCtx(ec, it, &c)
+	return out, &c, err
+}
+
+// TestOptimizerMethodSet pins the optimizer's public API: one planner,
+// the written-order planner, uninstrumented lowering, the instrumented
+// run and EXPLAIN ANALYZE. A new exported method is a second path beside
+// these and must be argued for, not grown back unnoticed.
+func TestOptimizerMethodSet(t *testing.T) {
+	want := []string{"Build", "ExecuteAnalyzedCtx", "ExplainAnalyze", "PlanFixed", "PlanQueryTrace"}
+	typ := reflect.TypeOf(&Optimizer{})
+	var got []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		got = append(got, typ.Method(i).Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("*Optimizer exports %v; want exactly %v", got, want)
+	}
+}
+
 func TestScanPlan(t *testing.T) {
 	cat := storage.NewCatalog()
 	cat.AddRelation("R", relation.FromRows("R", []string{"a"}, []any{1}, []any{2}))
@@ -36,9 +65,6 @@ func TestScanPlan(t *testing.T) {
 	}
 	if _, err := o.scanPlan("NOPE"); err == nil {
 		t.Error("unknown table must fail")
-	}
-	if o.CatalogOf() != cat {
-		t.Error("CatalogOf broken")
 	}
 }
 
@@ -60,11 +86,15 @@ func TestOptimizerCorrectness(t *testing.T) {
 			t.Fatal(err)
 		}
 		o := New(catalogFor(db))
-		got, _, reordered, err := o.Run(q)
+		p, tr, err := o.PlanQueryTrace(q)
 		if err != nil {
 			t.Fatalf("trial %d: %v\nq=%s", trial, err, q.StringWithPreds())
 		}
-		if !reordered {
+		got, _, err := execute(nil, o, p)
+		if err != nil {
+			t.Fatalf("trial %d: %v\nq=%s", trial, err, q.StringWithPreds())
+		}
+		if !tr.Reordered() {
 			t.Fatalf("trial %d: nice query should be reordered", trial)
 		}
 		if !got.EqualBag(want) {
@@ -92,11 +122,15 @@ func TestFixedOrderCorrectness(t *testing.T) {
 			t.Fatal(err)
 		}
 		o := New(catalogFor(db))
-		got, _, reordered, err := o.Run(q)
+		p, tr, err := o.PlanQueryTrace(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if reordered {
+		got, _, err := execute(nil, o, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Reordered() {
 			t.Fatal("Example 2 query must not be reordered")
 		}
 		if !got.EqualBag(want) {
@@ -124,7 +158,7 @@ func TestFixedOrderRightOuterNormalized(t *testing.T) {
 	if p.Op != expr.LeftOuter || p.Left.Table != "Y" {
 		t.Fatalf("RightOuter not normalized: %s", p.Tree())
 	}
-	got, _, err := o.Execute(p)
+	got, _, err := execute(nil, o, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,14 +199,14 @@ func TestExample1PlanChoice(t *testing.T) {
 		expr.NewOuter(expr.NewLeaf("R2"), expr.NewLeaf("R3"), eqp("R2", "R3")),
 		eqp("R1", "R2"))
 	o := New(cat)
-	p, reordered, err := o.Optimize(q)
+	p, tr, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reordered {
+	if !tr.Reordered() {
 		t.Fatal("Example 1 query is freely reorderable")
 	}
-	out, c, err := o.Execute(p)
+	out, c, err := execute(nil, o, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +228,7 @@ func TestExample1PlanChoice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cf, err := o.Execute(fixed)
+	_, cf, err := execute(nil, o, fixed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +246,7 @@ func TestExplainAndTree(t *testing.T) {
 	cat.AddRelation("S", relation.FromRows("S", []string{"a"}, []any{1}))
 	o := New(cat)
 	q := expr.NewOuter(expr.NewLeaf("R"), expr.NewLeaf("S"), eqp("R", "S"))
-	p, _, err := o.Optimize(q)
+	p, _, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,13 +267,13 @@ func TestExplainAndTree(t *testing.T) {
 func TestOptimizeGraphErrors(t *testing.T) {
 	o := New(storage.NewCatalog())
 	g := workload.JoinChainGraph(2)
-	if _, err := o.OptimizeGraph(g); err == nil {
+	if _, err := o.optimizeGraphCached(g, nil, nil); err == nil {
 		t.Error("missing tables must fail")
 	}
 	rnd := rand.New(rand.NewSource(59))
 	db := workload.RandomDB(rnd, g, 3)
 	o2 := New(catalogFor(db))
-	if _, err := o2.OptimizeGraph(g); err != nil {
+	if _, err := o2.optimizeGraphCached(g, nil, nil); err != nil {
 		t.Errorf("valid graph failed: %v", err)
 	}
 }
@@ -291,11 +325,11 @@ func TestLeftDeepOnly(t *testing.T) {
 		leftDeep := New(catalogFor(db))
 		leftDeep.LeftDeepOnly = true
 
-		pb, err := bushy.OptimizeGraph(g)
+		pb, err := bushy.optimizeGraphCached(g, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl, err := leftDeep.OptimizeGraph(g)
+		pl, err := leftDeep.optimizeGraphCached(g, nil, nil)
 		if err != nil {
 			t.Fatalf("trial %d: left-deep plan must exist for nice graphs: %v\n%v", trial, err, g)
 		}
@@ -304,11 +338,11 @@ func TestLeftDeepOnly(t *testing.T) {
 		}
 		assertLeftDeep(t, pl)
 		// Both compute the same result.
-		rb, _, err := bushy.Execute(pb)
+		rb, _, err := execute(nil, bushy, pb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rl, _, err := leftDeep.Execute(pl)
+		rl, _, err := execute(nil, leftDeep, pl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +387,7 @@ func TestOptimizerPrefersIndexOrHash(t *testing.T) {
 	}
 	o := New(cat)
 	q := expr.NewJoin(expr.NewLeaf("A"), expr.NewLeaf("B"), eqp("A", "B"))
-	p, _, err := o.Optimize(q)
+	p, _, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,20 +110,25 @@ func (p *Plan) Explain() string {
 }
 
 func (p *Plan) explainTo(b *strings.Builder, depth int) {
-	indent := strings.Repeat("  ", depth)
+	fmt.Fprintf(b, "%s%s (rows=%.0f cost=%.0f)\n", strings.Repeat("  ", depth), nodeLabel(p), p.EstRows, p.Cost)
+	for _, child := range []*Plan{p.Left, p.Right} {
+		if child != nil {
+			child.explainTo(b, depth+1)
+		}
+	}
+}
+
+// nodeLabel renders a plan node's one-line operator description, shared
+// by Plan.Explain and the EXPLAIN ANALYZE stats tree.
+func nodeLabel(p *Plan) string {
 	if p.IsLeaf() {
 		if p.Algo == AlgoIndexScan {
-			fmt.Fprintf(b, "%sindexscan %s.%s = %s (rows=%.0f cost=%.0f)\n",
-				indent, p.Table, p.IndexCol, p.IndexVal, p.EstRows, p.Cost)
-			return
+			return fmt.Sprintf("indexscan %s.%s = %s", p.Table, p.IndexCol, p.IndexVal)
 		}
-		fmt.Fprintf(b, "%sscan %s (rows=%.0f cost=%.0f)\n", indent, p.Table, p.EstRows, p.Cost)
-		return
+		return "scan " + p.Table
 	}
 	if p.Op == expr.Restrict {
-		fmt.Fprintf(b, "%sfilter on %s (rows=%.0f cost=%.0f)\n", indent, p.Pred, p.EstRows, p.Cost)
-		p.Left.explainTo(b, depth+1)
-		return
+		return fmt.Sprintf("filter on %v", p.Pred)
 	}
 	opName := "join"
 	switch p.Op {
@@ -144,10 +149,14 @@ func (p *Plan) explainTo(b *strings.Builder, depth int) {
 		} else {
 			algo = "scan"
 		}
+	case p.Op == expr.GOJ:
+		if _, _, ok := predicate.EquiParts(p.Pred, p.Left.Scheme, p.Right.Scheme); ok {
+			algo = "hash"
+		} else {
+			algo = "nestedloop"
+		}
 	}
-	fmt.Fprintf(b, "%s%s [%s] on %s (rows=%.0f cost=%.0f)\n", indent, opName, algo, p.Pred, p.EstRows, p.Cost)
-	p.Left.explainTo(b, depth+1)
-	p.Right.explainTo(b, depth+1)
+	return fmt.Sprintf("%s [%s] on %v", opName, algo, p.Pred)
 }
 
 // ToExpr converts the plan back to a logical expression tree (for

@@ -12,30 +12,27 @@ import (
 	"freejoin/internal/relation"
 )
 
-// PlanQuery is the full §4 planning pipeline for queries that carry
-// restrictions:
+// PlanQueryTrace is the optimizer's planner (§6.1), with the §4
+// pipeline in front for queries that carry restrictions:
 //
 //  1. Simplify: strong restrictions convert outerjoins to joins;
 //  2. PushRestrictions: conjuncts sink to the base tables they cover;
 //  3. if the remaining operator block (restrictions now only at leaves
-//     or on top) is freely reorderable, run the DP over its graph with
-//     the leaf filters folded into the scans; otherwise keep the written
-//     order. Residual top-level restrictions become Filter operators.
+//     or on top) is freely reorderable, plan its graph with the
+//     configured Strategy (DP over the implementing trees, or the
+//     Yannakakis fast path) with the leaf filters folded into the scans;
+//     otherwise keep the written order (PlanFixed). Residual top-level
+//     restrictions become Filter operators.
 //
-// The boolean reports whether reordering applied.
-func (o *Optimizer) PlanQuery(q *expr.Node) (*Plan, bool, error) {
-	p, tr, err := o.PlanQueryTrace(q)
-	if err != nil {
-		return nil, false, err
-	}
-	return p, tr.Reordered(), nil
-}
-
-// PlanQueryTrace is PlanQuery with the decision record attached. Unlike
-// OptimizeTrace, an undefined query graph is not an error here: the shell
-// pipeline must still execute such queries, so they keep their written
-// order and the trace records why.
+// The trace records the decision. An undefined query graph is not an
+// error: the query keeps its written order and the trace records why.
+// An unknown Strategy is an error, before any planning.
 func (o *Optimizer) PlanQueryTrace(q *expr.Node) (*Plan, *Trace, error) {
+	switch o.Strategy {
+	case "", "dp", "yannakakis", "auto":
+	default:
+		return nil, nil, fmt.Errorf("optimizer: unknown strategy %q", o.Strategy)
+	}
 	q, _ = core.Simplify(q, core.SimplifyOptions{})
 	q = core.PushRestrictions(q)
 
@@ -79,7 +76,7 @@ func (o *Optimizer) planBlock(q *expr.Node) (*Plan, *Trace, error) {
 		}
 		tr.FallbackReason = "DP failed: " + err.Error()
 	}
-	p, err := o.planFixedRestricted(q)
+	p, err := o.PlanFixed(q)
 	return p, tr, err
 }
 
@@ -132,8 +129,11 @@ func stripLeafFilters(q *expr.Node) (*expr.Node, map[string]predicate.Predicate,
 	return out, filters, ok
 }
 
-// optimizeGraph is the DP of OptimizeGraph with per-relation filters
-// folded into the leaf plans. When tr is non-nil the search statistics
+// optimizeGraph finds the cheapest plan among all implementing trees of a
+// connected query graph, by dynamic programming over connected node
+// subsets (the classic DP, with outerjoin edges handled like join edges
+// but orientation-pinned), with per-relation filters folded into the
+// leaf plans. When tr is non-nil the search statistics
 // (subsets, splits, candidates, pruned) are recorded into it.
 func (o *Optimizer) optimizeGraph(g *graph.Graph, filters map[string]predicate.Predicate, tr *Trace) (*Plan, error) {
 	if g.NumNodes() == 0 {
@@ -281,38 +281,6 @@ func (o *Optimizer) filterPlan(child *Plan, pred predicate.Predicate) *Plan {
 		Scheme: child.Scheme, EstRows: rows,
 		Cost: child.Cost + child.EstRows + rows*costOutputPerRow,
 	}
-}
-
-// planFixedRestricted is PlanFixed extended with Restrict nodes.
-func (o *Optimizer) planFixedRestricted(q *expr.Node) (*Plan, error) {
-	if q.Op == expr.Restrict {
-		child, err := o.planFixedRestricted(q.Left)
-		if err != nil {
-			return nil, err
-		}
-		return o.filterPlan(child, q.Pred), nil
-	}
-	if q.Op == expr.Leaf {
-		return o.scanPlan(q.Rel)
-	}
-	if q.Op != expr.Join && q.Op != expr.LeftOuter && q.Op != expr.RightOuter {
-		return nil, fmt.Errorf("optimizer: cannot plan operator %s", q.Op)
-	}
-	l, err := o.planFixedRestricted(q.Left)
-	if err != nil {
-		return nil, err
-	}
-	r, err := o.planFixedRestricted(q.Right)
-	if err != nil {
-		return nil, err
-	}
-	op := q.Op
-	if op == expr.RightOuter {
-		l, r = r, l
-		op = expr.LeftOuter
-	}
-	sp := expr.Split{Op: op, Pred: q.Pred, S1Preserved: true}
-	return cheapest(o.fixedJoinPlans(sp, l, r))
 }
 
 // buildFilter lowers a Restrict plan node.

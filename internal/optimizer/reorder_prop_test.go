@@ -94,7 +94,7 @@ func TestMetamorphicFreeReorderability(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d tree %d: PlanFixed: %v", seed, i, err)
 			}
-			rel, _, err := o.Execute(pf)
+			rel, _, err := execute(nil, o, pf)
 			if err != nil {
 				t.Fatalf("seed %d tree %d: execute fixed: %v", seed, i, err)
 			}
@@ -105,9 +105,9 @@ func TestMetamorphicFreeReorderability(t *testing.T) {
 
 			// Oracle 3: the plan cache must see every tree of this graph
 			// as the same query.
-			p, tr, err := o.OptimizeTrace(it)
+			p, tr, err := o.PlanQueryTrace(it)
 			if err != nil {
-				t.Fatalf("seed %d tree %d: OptimizeTrace: %v", seed, i, err)
+				t.Fatalf("seed %d tree %d: PlanQueryTrace: %v", seed, i, err)
 			}
 			if !tr.Reordered() {
 				t.Fatalf("seed %d tree %d: nice query not reordered (%s)", seed, i, tr.FallbackReason)
@@ -118,7 +118,7 @@ func TestMetamorphicFreeReorderability(t *testing.T) {
 				}
 				fp, shared = tr.Fingerprint, p
 				// The optimized plan agrees with the oracle as well.
-				orel, _, err := o.Execute(p)
+				orel, _, err := execute(nil, o, p)
 				if err != nil {
 					t.Fatalf("seed %d: execute optimized: %v", seed, err)
 				}

@@ -25,7 +25,7 @@ import (
 func TestSpillToggleMissesPlanCache(t *testing.T) {
 	o, q := cacheFixture(t, 77)
 
-	_, tr1, err := o.OptimizeTrace(q)
+	_, tr1, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestSpillToggleMissesPlanCache(t *testing.T) {
 	}
 
 	o.Spill = true
-	_, tr2, err := o.OptimizeTrace(q)
+	_, tr2, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestSpillToggleMissesPlanCache(t *testing.T) {
 	}
 
 	// Each mode hits its own entry on repeat.
-	_, tr3, err := o.OptimizeTrace(q)
+	_, tr3, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestSpillToggleMissesPlanCache(t *testing.T) {
 		t.Fatalf("spill-enabled repeat: outcome %q fp %q; want hit on %q", tr3.CacheOutcome, tr3.Fingerprint, tr2.Fingerprint)
 	}
 	o.Spill = false
-	_, tr4, err := o.OptimizeTrace(q)
+	_, tr4, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestTraceDegradationAnnotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := New(cat)
-	p, _, err := o.PlanQuery(q)
+	p, _, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestTraceDegradationAnnotation(t *testing.T) {
 	}
 	var c exec.Counters
 	tr := &Trace{}
-	if _, _, err := o.BuildInstrumentedTraced(p, &c, tr); err != nil {
+	if _, _, err := o.build(p, &c, true, tr); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(tr.Degradation, "index join via S.a") {
@@ -104,7 +104,7 @@ func TestTraceDegradationAnnotation(t *testing.T) {
 
 	o.Spill = true
 	tr = &Trace{}
-	if _, _, err := o.BuildInstrumentedTraced(p, &c, tr); err != nil {
+	if _, _, err := o.build(p, &c, true, tr); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Degradation != "grace-hash spill" {
@@ -118,7 +118,7 @@ func TestTraceDegradationAnnotation(t *testing.T) {
 // process-wide oj_spill_* metrics.
 func TestExplainAnalyzeSpillCounters(t *testing.T) {
 	o, p := governorQuery(t)
-	want, _, err := o.Execute(p)
+	want, _, err := execute(nil, o, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestExplainAnalyzeSpillCounters(t *testing.T) {
 	ec.EnableSpill(exec.SpillConfig{Dir: dir})
 	o.Spill = true
 
-	got, _, text, err := o.ExplainAnalyzeCtx(ec, p, &Trace{})
+	got, _, text, err := o.ExplainAnalyze(ec, p, &Trace{}, nil)
 	if err != nil {
 		t.Fatalf("spilling EXPLAIN ANALYZE failed: %v\n%s", err, text)
 	}
@@ -206,11 +206,11 @@ func TestMetamorphicSpillOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: Eval: %v", seed, err)
 		}
-		p, _, err := o.OptimizeTrace(its[0])
+		p, _, err := o.PlanQueryTrace(its[0])
 		if err != nil {
-			t.Fatalf("seed %d: OptimizeTrace: %v", seed, err)
+			t.Fatalf("seed %d: PlanQueryTrace: %v", seed, err)
 		}
-		mem, _, err := o.Execute(p)
+		mem, _, err := execute(nil, o, p)
 		if err != nil {
 			t.Fatalf("seed %d: unbudgeted execute: %v", seed, err)
 		}
@@ -224,7 +224,7 @@ func TestMetamorphicSpillOracle(t *testing.T) {
 		gov := exec.NewGovernor(0, 96)
 		ec := exec.NewExecContext(context.Background(), gov)
 		ec.EnableSpill(exec.SpillConfig{Dir: dir})
-		got, _, err := o.ExecuteCtx(ec, p)
+		got, _, err := execute(ec, o, p)
 		if err != nil {
 			t.Fatalf("seed %d: spilled execute: %v\ngraph:\n%s", seed, err, g)
 		}

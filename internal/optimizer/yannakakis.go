@@ -140,8 +140,6 @@ func strategyFor(p *Plan) string {
 // not, every reordered plan flows through here.
 func (o *Optimizer) planGraph(g *graph.Graph, filters map[string]predicate.Predicate, tr *Trace) (*Plan, error) {
 	switch o.Strategy {
-	case "", "dp":
-		return o.optimizeGraph(g, filters, tr)
 	case "yannakakis":
 		p, err := o.planYannakakis(g, filters)
 		if err == nil {
@@ -161,6 +159,7 @@ func (o *Optimizer) planGraph(g *graph.Graph, filters map[string]predicate.Predi
 		}
 		return dp, nil
 	default:
-		return nil, fmt.Errorf("optimizer: unknown strategy %q", o.Strategy)
+		// "" and "dp"; PlanQueryTrace rejects every other value.
+		return o.optimizeGraph(g, filters, tr)
 	}
 }

@@ -75,14 +75,14 @@ func TestMetamorphicYannakakisOracle(t *testing.T) {
 
 		// Oracle 1: classic DP.
 		oDP := New(cat)
-		pDP, trDP, err := oDP.OptimizeGraphTrace(g)
+		pDP, trDP, err := oDP.PlanQueryTrace(its[0])
 		if err != nil {
 			t.Fatalf("seed %d: DP optimize: %v", seed, err)
 		}
 		if trDP.Strategy != "reordered" {
 			t.Fatalf("seed %d: default strategy = %q; want reordered", seed, trDP.Strategy)
 		}
-		relDP, _, err := oDP.Execute(pDP)
+		relDP, _, err := execute(nil, oDP, pDP)
 		if err != nil {
 			t.Fatalf("seed %d: DP execute: %v", seed, err)
 		}
@@ -95,7 +95,7 @@ func TestMetamorphicYannakakisOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: PlanFixed: %v", seed, err)
 		}
-		relFix, _, err := oDP.Execute(pFix)
+		relFix, _, err := execute(nil, oDP, pFix)
 		if err != nil {
 			t.Fatalf("seed %d: fixed execute: %v", seed, err)
 		}
@@ -107,7 +107,7 @@ func TestMetamorphicYannakakisOracle(t *testing.T) {
 		// fall back.
 		oY := New(cat)
 		oY.Strategy = "yannakakis"
-		pY, trY, err := oY.OptimizeGraphTrace(g)
+		pY, trY, err := oY.PlanQueryTrace(its[0])
 		if err != nil {
 			t.Fatalf("seed %d: yannakakis optimize: %v", seed, err)
 		}
@@ -115,7 +115,7 @@ func TestMetamorphicYannakakisOracle(t *testing.T) {
 			t.Fatalf("seed %d: forced yannakakis on a tree fell back: strategy %q (%s)\ngraph:\n%s",
 				seed, trY.Strategy, trY.FallbackReason, g)
 		}
-		relY, _, stats, err := oY.ExecuteAnalyzed(pY)
+		relY, _, stats, err := oY.ExecuteAnalyzedCtx(nil, pY)
 		if err != nil {
 			t.Fatalf("seed %d: yannakakis execute: %v\nplan:\n%s", seed, err, pY.Explain())
 		}
@@ -167,7 +167,7 @@ func TestYannakakisFallsBackOnCycles(t *testing.T) {
 	db := workload.RandomDB(rnd, g, 6)
 	o := New(catalogFor(db))
 	o.Strategy = "yannakakis"
-	p, tr, err := o.OptimizeGraphTrace(g)
+	p, tr, err := o.PlanQueryTrace(firstIT(t, g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,9 +187,20 @@ func TestYannakakisFallsBackOnCycles(t *testing.T) {
 func TestUnknownStrategyErrors(t *testing.T) {
 	o, g := yannakakisFixture(t, 11)
 	o.Strategy = "yannakaki"
-	if _, err := o.OptimizeGraph(g); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
+	if _, _, err := o.PlanQueryTrace(firstIT(t, g)); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
 		t.Fatalf("err = %v; want unknown strategy", err)
 	}
+}
+
+// firstIT returns one implementing tree of g, the written query a test
+// hands to PlanQueryTrace.
+func firstIT(t *testing.T, g *graph.Graph) *expr.Node {
+	t.Helper()
+	its, err := expr.EnumerateITs(g, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return its[0]
 }
 
 // TestAutoStrategyPicksCheaper: "auto" must return exactly the cheaper
@@ -198,17 +209,17 @@ func TestUnknownStrategyErrors(t *testing.T) {
 func TestAutoStrategyPicksCheaper(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		o, g := yannakakisFixture(t, 40+seed)
-		pDP, err := o.OptimizeGraph(g)
+		pDP, err := o.optimizeGraphCached(g, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		o.Strategy = "yannakakis"
-		pY, err := o.OptimizeGraph(g)
+		pY, err := o.optimizeGraphCached(g, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		o.Strategy = "auto"
-		pAuto, err := o.OptimizeGraph(g)
+		pAuto, err := o.optimizeGraphCached(g, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,11 +228,11 @@ func TestAutoStrategyPicksCheaper(t *testing.T) {
 			t.Errorf("seed %d: auto chose yannakakis=%v; want %v (dp cost %.0f, yannakakis cost %.0f)",
 				seed, gotYann, wantYann, pDP.Cost, pY.Cost)
 		}
-		want, _, err := o.Execute(pDP)
+		want, _, err := execute(nil, o, pDP)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := o.Execute(pAuto)
+		got, _, err := execute(nil, o, pAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +248,7 @@ func TestAutoStrategyPicksCheaper(t *testing.T) {
 func TestStrategyToggleMissesPlanCache(t *testing.T) {
 	o, q := cacheFixture(t, 78)
 
-	_, tr1, err := o.OptimizeTrace(q)
+	_, tr1, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +257,7 @@ func TestStrategyToggleMissesPlanCache(t *testing.T) {
 	}
 
 	o.Strategy = "yannakakis"
-	p2, tr2, err := o.OptimizeTrace(q)
+	p2, tr2, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +274,7 @@ func TestStrategyToggleMissesPlanCache(t *testing.T) {
 		t.Errorf("strategy = %q; want yannakakis", tr2.Strategy)
 	}
 
-	_, tr3, err := o.OptimizeTrace(q)
+	_, tr3, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +285,7 @@ func TestStrategyToggleMissesPlanCache(t *testing.T) {
 		t.Errorf("cache-hit strategy = %q; want yannakakis (attributed from the plan shape)", tr3.Strategy)
 	}
 	o.Strategy = ""
-	_, tr4, err := o.OptimizeTrace(q)
+	_, tr4, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +306,7 @@ func TestYannakakisObservability(t *testing.T) {
 	o.Strategy = "yannakakis"
 	strat0 := obs.StrategyYannakakis.Value()
 	in0 := obs.SemiReduceInputRows.Value()
-	p, tr, err := o.OptimizeGraphTrace(g)
+	p, tr, err := o.PlanQueryTrace(firstIT(t, g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +319,7 @@ func TestYannakakisObservability(t *testing.T) {
 	if !strings.Contains(tr.String(), "strategy: yannakakis") {
 		t.Errorf("trace must carry the strategy:\n%s", tr.String())
 	}
-	if _, _, err := o.Execute(p); err != nil {
+	if _, _, err := execute(nil, o, p); err != nil {
 		t.Fatal(err)
 	}
 	if obs.SemiReduceInputRows.Value() == in0 {
@@ -337,7 +348,7 @@ func TestYannakakisThetaStepCounts(t *testing.T) {
 		t.Fatalf("want a yannakakis plan with reducer steps, got %q:\n%s", tr.Strategy, p.Explain())
 	}
 	in0, out0 := obs.SemiReduceInputRows.Value(), obs.SemiReduceOutputRows.Value()
-	if _, _, err := o.Execute(p); err != nil {
+	if _, _, err := execute(nil, o, p); err != nil {
 		t.Fatal(err)
 	}
 	// Three steps run: A ⋉ B (4 rows in, A.b in {5, 7} out) once for the
@@ -357,7 +368,7 @@ func TestYannakakisRoundTrip(t *testing.T) {
 	db := workload.RandomDanglingDB(rnd, g, 10, 0.6)
 	o := New(catalogFor(db))
 	o.Strategy = "yannakakis"
-	p, err := o.OptimizeGraph(g)
+	p, err := o.optimizeGraphCached(g, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +379,7 @@ func TestYannakakisRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := o.Execute(p)
+	got, _, err := execute(nil, o, p)
 	if err != nil {
 		t.Fatal(err)
 	}

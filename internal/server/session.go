@@ -470,7 +470,10 @@ func (s *Session) runQuery(ctx context.Context, label string, q *expr.Node, with
 	execDone := qt.Span("execute")
 	var out *relation.Relation
 	obs.WithQueryLabels(ctx, qt.Rec.ID, tr.Fingerprint, tr.Strategy, func(context.Context) {
-		out, err = o.ExecuteCtxCounted(ec, p, &c)
+		var it exec.Iterator
+		if it, err = o.Build(p, &c); err == nil {
+			out, err = exec.CollectCtx(ec, it, &c)
+		}
 	})
 	execDone()
 	qt.Rec.Strategy = tr.Strategy
